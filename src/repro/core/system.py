@@ -15,7 +15,6 @@ harness use.
 
 from __future__ import annotations
 
-import copy
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace as dc_replace
@@ -42,6 +41,7 @@ from .config import SimulationParams
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..logs.replay import RequestSource
     from ..mining.modelcache import ModelCache
+    from ..mining.ppm import PPMPredictor
     from ..obs.profiler import PhaseProfiler
 
 __all__ = [
@@ -94,7 +94,7 @@ class MinedModels:
     """
 
     graph: DependencyGraph
-    model: object
+    model: DependencyGraph | PPMPredictor
     bundles: BundleTable
     categorizer: UserCategorizer | None
     rank_table: RankTable
@@ -110,14 +110,14 @@ class MinedModels:
     ) -> MiningResult:
         """Stamp out per-run state over these shared models.
 
-        The navigation model is deep-copied when online updates are on
-        (the predictor folds observed transitions back into it), so the
+        The navigation model is copied when online updates are on (the
+        predictor folds observed transitions back into it), so the
         mined template stays pristine and every run starts from the
         same offline state — runs are independent and order-free, which
         is what makes parallel execution bit-identical to serial.
         """
         params = params or SimulationParams()
-        model = copy.deepcopy(self.model) if online_update else self.model
+        model = self.model.copy() if online_update else self.model
         graph = model if self.model is self.graph else self.graph
         predictor = PrefetchPredictor(
             model,
@@ -180,7 +180,7 @@ def mine_models(
     with timed("mine.depgraph"):
         graph = DependencyGraph(order=params.depgraph_order).train(sequences)
         if predictor_kind == "depgraph":
-            model: object = graph
+            model: DependencyGraph | PPMPredictor = graph
         elif predictor_kind == "ppm":
             from ..mining.ppm import PPMPredictor
             model = PPMPredictor(order=params.depgraph_order).train(sequences)

@@ -11,7 +11,7 @@ executes such grids with two structural guarantees:
    and stamps cheap per-run state (:meth:`MinedModels.runtime`) for each
    cell, instead of re-mining inside every policy run.
 2. **Parallel ≡ serial.**  Cells share no mutable state: each one gets
-   a private deep-copied navigation model and a fresh simulator, so a
+   a private copy of the navigation model and a fresh simulator, so a
    :class:`concurrent.futures.ProcessPoolExecutor` fan-out produces
    results bit-identical to the in-process loop (``jobs=0``), in cell
    order.

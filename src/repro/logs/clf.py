@@ -175,6 +175,30 @@ def _unescape_quoted(value: str) -> str:
     return _ESCAPE_SEQ.sub(sub, value)
 
 
+#: Epoch of local midnight for each ``(year, mon, day, zone)`` stamp seen:
+#: a log has many lines per day, so ``calendar.timegm`` and the zone
+#: arithmetic run once per log day instead of once per line.  Cleared when
+#: full, so a log with a new date on every line cannot grow it unbounded.
+_DAY_EPOCH: dict[tuple[str, str, str, str], int] = {}
+_DAY_EPOCH_MAX = 4096
+
+
+def _day_epoch(line: str, year: str, mon: str, day: str, zone: str) -> int:
+    """Compute and memoize the epoch of ``day/mon/year:00:00:00 zone``."""
+    month = _MONTHS.get(mon)
+    if month is None:
+        raise CLFParseError(line, "unknown month abbreviation")
+    try:
+        midnight = calendar.timegm((int(year), month, int(day), 0, 0, 0))
+    except ValueError as exc:  # year 0000 is outside datetime's range
+        raise CLFParseError(line, f"invalid date ({exc})") from None
+    epoch = midnight - _zone_offset_seconds(zone)
+    if len(_DAY_EPOCH) >= _DAY_EPOCH_MAX:
+        _DAY_EPOCH.clear()
+    _DAY_EPOCH[year, mon, day, zone] = epoch
+    return epoch
+
+
 def parse_line(line: str) -> LogRecord:
     """Parse one CLF (or combined-referer) line into a :class:`LogRecord`.
 
@@ -186,36 +210,22 @@ def parse_line(line: str) -> LogRecord:
     m = _CLF_RE.match(line.strip())
     if m is None:
         raise CLFParseError(line)
-    mon = _MONTHS.get(m.group("mon"))
-    if mon is None:
-        raise CLFParseError(line, "unknown month abbreviation")
+    (host, ident, authuser, day, mon, year, hh, mm, ss, zone,
+     method, path, proto, status, size, referer, agent) = m.groups()
     # CLF timestamps are local time plus an explicit zone; convert to epoch.
-    epoch = calendar.timegm((
-        int(m.group("year")), mon, int(m.group("day")),
-        int(m.group("hh")), int(m.group("mm")), int(m.group("ss")),
-        0, 0, 0,
-    )) - _zone_offset_seconds(m.group("zone"))
-    size_field = m.group("size")
-    referer = m.group("referer")
-    referer = None if referer == "-" else (
-        _unescape_quoted(referer) if referer is not None else None
-    )
-    agent = m.group("agent")
-    agent = None if agent == "-" else (
-        _unescape_quoted(agent) if agent is not None else None
-    )
+    epoch = _DAY_EPOCH.get((year, mon, day, zone))
+    if epoch is None:
+        epoch = _day_epoch(line, year, mon, day, zone)
+    epoch += int(hh) * 3600 + int(mm) * 60 + int(ss)
+    if referer is not None:
+        referer = None if referer == "-" else _unescape_quoted(referer)
+    if agent is not None:
+        agent = None if agent == "-" else _unescape_quoted(agent)
+    # Positional, in LogRecord's field order: keywords cost more per line.
     return LogRecord(
-        host=m.group("host"),
-        ident=m.group("ident"),
-        authuser=m.group("authuser"),
-        timestamp=float(epoch),
-        method=m.group("method"),
-        path=m.group("path"),
-        protocol=(m.group("proto") or "HTTP/1.0").strip(),
-        status=int(m.group("status")),
-        size=0 if size_field == "-" else int(size_field),
-        referer=referer,
-        agent=agent,
+        host, float(epoch), method, path, (proto or "HTTP/1.0").strip(),
+        int(status), 0 if size == "-" else int(size), ident, authuser,
+        referer, agent,
     )
 
 

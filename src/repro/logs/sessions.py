@@ -11,7 +11,6 @@ connection in the trace.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -144,7 +143,9 @@ class StreamSessionizer:
     stable per-client sort of the batch path.  Fed the same records in
     time order, retired + flushed sessions are exactly
     ``sessionize(records)`` up to emission order (the batch path sorts
-    by ``(start, client)``; retirement emits by idle time).
+    by ``(start, client)``).  Emission order is part of the contract:
+    the sessions one :meth:`feed` retires come out in ``(last activity,
+    client)`` order, and :meth:`flush` emits in session-open order.
 
     A gap of exactly ``timeout`` seconds does **not** split a session —
     the split rule is strictly-greater, same as the batch path.
@@ -160,10 +161,14 @@ class StreamSessionizer:
             raise ValueError("timeout must be positive")
         self.timeout = timeout
         self.successful_only = successful_only
-        self._open: dict[str, list[LogRecord]] = {}
-        self._last: dict[str, float] = {}
-        #: lazy-deletion heap of (last_timestamp, client) retirement probes
-        self._idle_heap: list[tuple[float, str]] = []
+        #: client -> (records, last_timestamp, open_seq), in order of last
+        #: activity: every feed re-inserts its client at the end, and the
+        #: clock never runs backwards, so the front expires first
+        self._open: dict[str, tuple[list[LogRecord], float, int]] = {}
+        self._opened = 0
+        #: a lower bound on the front's last activity: while the clock is
+        #: within ``timeout`` of it, no session can be idle
+        self._oldest = float("inf")
         self._clock = float("-inf")
         #: total sessions retired (including flushed)
         self.sessions_emitted = 0
@@ -175,17 +180,21 @@ class StreamSessionizer:
         return len(self._open)
 
     def _retire_idle(self, now: float) -> list[Session]:
-        retired: list[Session] = []
-        heap = self._idle_heap
-        while heap and now - heap[0][0] > self.timeout:
-            last_ts, client = heapq.heappop(heap)
-            current = self._last.get(client)
-            if current is None or current != last_ts:
-                continue  # stale probe: the client was active since
-            retired.append(Session(client, tuple(self._open.pop(client))))
-            del self._last[client]
-        self.sessions_emitted += len(retired)
-        return retired
+        idle: list[tuple[float, str, list[LogRecord]]] = []
+        open_ = self._open
+        timeout = self.timeout
+        self._oldest = float("inf")
+        for client, (recs, last_ts, _) in open_.items():
+            if now - last_ts <= timeout:
+                self._oldest = last_ts
+                break
+            idle.append((last_ts, client, recs))
+        for _, client, _ in idle:
+            del open_[client]
+        if len(idle) > 1:
+            idle.sort(key=lambda entry: entry[:2])
+        self.sessions_emitted += len(idle)
+        return [Session(client, tuple(recs)) for _, client, recs in idle]
 
     def feed(self, rec: LogRecord) -> list[Session]:
         """Advance the stream by one record; return sessions retired by it.
@@ -200,33 +209,36 @@ class StreamSessionizer:
                 f"records must be fed in time order: {ts} after {self._clock}"
             )
         self._clock = ts
-        retired = self._retire_idle(ts)
+        retired = (
+            self._retire_idle(ts) if ts - self._oldest > self.timeout else []
+        )
         if self.successful_only and not rec.is_success():
             return retired
         client = rec.host
-        bucket = self._open.get(client)
-        if bucket is None:
+        open_ = self._open
+        entry = open_.pop(client, None)
+        if entry is None:
             # Either a brand-new client or one whose previous session
             # was just retired above (gap > timeout either way).
-            self._open[client] = [rec]
-            if len(self._open) > self.peak_open:
-                self.peak_open = len(self._open)
+            open_[client] = ([rec], ts, self._opened)
+            self._opened += 1
+            if len(open_) > self.peak_open:
+                self.peak_open = len(open_)
         else:
-            bucket.append(rec)
-        self._last[client] = ts
-        heapq.heappush(self._idle_heap, (ts, client))
+            entry[0].append(rec)
+            open_[client] = (entry[0], ts, entry[2])
+        if ts < self._oldest:
+            self._oldest = ts
         return retired
 
     def flush(self) -> list[Session]:
-        """Retire every still-open session (end of stream)."""
-        out = [
-            Session(client, tuple(recs))
-            for client, recs in self._open.items()
-        ]
+        """Retire every still-open session (end of stream), in the order
+        the sessions opened."""
+        entries = sorted(self._open.items(), key=lambda item: item[1][2])
+        out = [Session(client, tuple(recs)) for client, (recs, _, _) in entries]
         self.sessions_emitted += len(out)
         self._open.clear()
-        self._last.clear()
-        self._idle_heap.clear()
+        self._oldest = float("inf")
         return out
 
 

@@ -110,6 +110,17 @@ class DependencyGraph:
         counter[nxt] += 1
         self._totals[key] = self._totals.get(key, 0) + 1
 
+    def copy(self) -> "DependencyGraph":
+        """An independent copy: updates to either graph leave the other
+        untouched.  Copies container by container, keeping every
+        iteration order."""
+        dup = DependencyGraph(self.order)
+        dup._links = {page: set(succ) for page, succ in self._links.items()}
+        dup._counts = {ctx: Counter(c) for ctx, c in self._counts.items()}
+        dup._totals = dict(self._totals)
+        dup._trained_sequences = self._trained_sequences
+        return dup
+
     # -- queries -----------------------------------------------------------
 
     @property

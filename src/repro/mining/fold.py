@@ -151,7 +151,7 @@ class StreamingModelFold:
         except ValueError:
             categorizer = None
         graph = self._graph
-        model: object = graph if self._ppm is None else self._ppm
+        model = graph if self._ppm is None else self._ppm
         return MinedModels(
             graph=graph,
             model=model,

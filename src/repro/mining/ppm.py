@@ -56,6 +56,13 @@ class PPMPredictor:
         :class:`~repro.mining.prefetch.PrefetchPredictor`."""
         self._counts.setdefault((prev,), Counter())[nxt] += 1
 
+    def copy(self) -> "PPMPredictor":
+        """An independent copy (see :meth:`DependencyGraph.copy`)."""
+        dup = PPMPredictor(self.order, blend=self.blend)
+        dup._counts = {ctx: Counter(c) for ctx, c in self._counts.items()}
+        dup._trained_sequences = self._trained_sequences
+        return dup
+
     # -- queries -----------------------------------------------------------
 
     @property

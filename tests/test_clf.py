@@ -1,5 +1,6 @@
 """Unit and property tests for Common Log Format parsing/formatting."""
 
+import calendar
 import gzip
 import io
 
@@ -20,6 +21,18 @@ from repro.logs import (
 )
 
 SAMPLE = '192.168.0.7 - frank [10/Oct/2000:13:55:36 -0700] "GET /apache_pb.gif HTTP/1.0" 200 2326'
+
+MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
+          "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
+
+MALFORMED = [
+    "",
+    "not a log line",
+    '1.2.3.4 - - [10/Xxx/2000:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:13:55:36 +0000] "GET /x HTTP/1.0" abc 10',
+    # matches the grammar, but year 0 is outside the calendar's range
+    '1.2.3.4 - - [10/Oct/0000:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+]
 
 
 class TestParseLine:
@@ -55,12 +68,7 @@ class TestParseLine:
         rec = parse_line(SAMPLE + ' "-"')
         assert rec.referer is None
 
-    @pytest.mark.parametrize("bad", [
-        "",
-        "not a log line",
-        '1.2.3.4 - - [10/Xxx/2000:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
-        '1.2.3.4 - - [10/Oct/2000:13:55:36 +0000] "GET /x HTTP/1.0" abc 10',
-    ])
+    @pytest.mark.parametrize("bad", MALFORMED)
     def test_malformed_raises(self, bad):
         with pytest.raises(CLFParseError):
             parse_line(bad)
@@ -69,6 +77,39 @@ class TestParseLine:
         with pytest.raises(CLFParseError) as ei:
             parse_line("garbage")
         assert ei.value.line == "garbage"
+
+    @given(stamps=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=9999),
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=1, max_value=28),
+            st.integers(min_value=0, max_value=23),
+            st.integers(min_value=0, max_value=59),
+            st.integers(min_value=0, max_value=59),
+            st.sampled_from(["+", "-"]),
+            st.integers(min_value=0, max_value=14),
+            st.sampled_from([0, 15, 30, 45]),
+        ).filter(lambda s: s[7] or s[8]),  # non-zero zones only
+        min_size=1, max_size=12,
+    ))
+    def test_property_timestamp_matches_timegm(self, stamps):
+        # Each date is stamped under two zones at two times of day, so the
+        # same date recurs under different zones, a memoized day is reused
+        # at another time, and the date changes between stamps.
+        for y, mo, d, hh, mm, ss, sign, zh, zm in stamps:
+            for zone_h in ((zh + 5) % 14 + 1, zh):
+                for h, m in ((hh, mm), ((hh + 7) % 24, (mm + 13) % 60)):
+                    zone = f"{sign}{zone_h:02d}{zm:02d}"
+                    offset = zone_h * 3600 + zm * 60
+                    if sign == "-":
+                        offset = -offset
+                    line = (
+                        f"h - - [{d:02d}/{MONTHS[mo - 1]}/{y:04d}:"
+                        f'{h:02d}:{m:02d}:{ss:02d} {zone}] "GET /x" 200 1'
+                    )
+                    assert parse_line(line).timestamp == (
+                        calendar.timegm((y, mo, d, h, m, ss)) - offset
+                    )
 
 
 class TestRoundTrip:
@@ -109,6 +150,15 @@ class TestStreams:
     def test_parse_lines_lenient_drops(self):
         recs = list(parse_lines([SAMPLE, "garbage", SAMPLE], strict=False))
         assert len(recs) == 2
+
+    def test_lenient_drops_every_malformed_line(self):
+        bad = [line for line in MALFORMED if line]
+        stats = ParseStats()
+        recs = list(parse_lines([SAMPLE, *bad, SAMPLE], strict=False,
+                                stats=stats))
+        assert len(recs) == 2
+        assert stats.dropped == len(bad)
+        assert stats.samples == bad
 
     def test_write_then_read(self):
         recs = [parse_line(SAMPLE)] * 3

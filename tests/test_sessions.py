@@ -154,6 +154,32 @@ class TestStreamSessionizer:
         assert len(sz) == 1
         assert sz.peak_open == 5
 
+    def test_retired_in_last_activity_then_client_order(self):
+        # Ties on last activity come out by client name, not feed order.
+        sz = StreamSessionizer(timeout=10)
+        for client, t in [("b", 0), ("a", 0), ("c", 0), ("b", 1),
+                          ("e", 1), ("d", 1)]:
+            sz.feed(rec(client, t, "/p.html"))
+        retired = sz.feed(rec("late", 100, "/p.html"))
+        assert [s.client for s in retired] == ["a", "c", "b", "d", "e"]
+        assert [s.end for s in retired] == [0, 0, 1, 1, 1]
+
+    def test_flush_in_session_open_order(self):
+        sz = StreamSessionizer(timeout=10)
+        for client, t in [("b", 0), ("a", 1), ("c", 2), ("b", 3),
+                          ("a", 4)]:
+            sz.feed(rec(client, t, "/p.html"))
+        # Last activity runs c, b, a; the sessions opened b, a, c.
+        assert [s.client for s in sz.flush()] == ["b", "a", "c"]
+
+    def test_flush_orders_a_reopened_session_by_its_reopening(self):
+        sz = StreamSessionizer(timeout=10)
+        sz.feed(rec("a", 0, "/p.html"))
+        sz.feed(rec("b", 5, "/p.html"))
+        (old,) = sz.feed(rec("a", 11, "/p.html"))  # a's first session
+        assert (old.client, old.end) == ("a", 0)
+        assert [s.client for s in sz.flush()] == ["b", "a"]
+
     def test_iter_sessions_generator(self):
         recs = [rec("h", 0, "/a.html"), rec("h", 1000, "/b.html"),
                 rec("g", 1001, "/c.html")]

@@ -76,6 +76,25 @@ class TestFoldEquivalence:
         assert models_fingerprint(bumped) != fp
 
 
+class TestRuntimeCopy:
+    """``MinedModels.runtime`` gives each run its own navigation model."""
+
+    @pytest.mark.parametrize("kind", ["depgraph", "ppm"])
+    def test_online_updates_leave_template_unchanged(self, workload, kind):
+        models = mine_models(workload, predictor_kind=kind)
+        fp = models_fingerprint(models)
+        run = models.runtime()
+        model = run.components.predictor.graph
+        assert model is not models.model
+        as_run = dataclasses.replace(models, graph=run.graph, model=model)
+        assert models_fingerprint(as_run) == fp  # an exact copy
+        page = next(iter(models.graph._links))
+        model.record_transition(page, "/never-seen.html")
+        model.record_transition("/never-seen.html", page)
+        assert models_fingerprint(as_run) != fp
+        assert models_fingerprint(models) == fp
+
+
 class TestStreamedWorkloads:
     def test_mine_models_dispatches_on_record_stream(self, workload,
                                                      tmp_path):
