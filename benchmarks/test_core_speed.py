@@ -26,7 +26,6 @@ still recorded for humans.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import json
 import os
@@ -50,12 +49,8 @@ from repro.sim.cluster import DEFAULT_ARRIVAL_WINDOW, ClusterSimulator
 from conftest import BENCH
 
 BENCH_CORE_SCHEMA = "prord-bench-core/v2"
-#: Older artifacts the gate can still read (see _baseline_normalized).
-BENCH_CORE_SCHEMA_V1 = "prord-bench-core/v1"
 POLICIES = ("wrr", "lard", "prord")
 ROUNDS = 3
-#: Shard count for the v2 ``sharded`` row.
-SHARDED_K = 4
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = Path(os.environ.get("BENCH_CORE_JSON",
@@ -101,7 +96,6 @@ def measurements():
     models = mine_models(workload, params, profiler=profiler)
 
     policies: dict[str, dict] = {}
-    reports: dict[str, dict] = {}
     for name in POLICIES:
         best = None
         for _ in range(ROUNDS):
@@ -122,41 +116,11 @@ def measurements():
                     "completed": result.report.completed,
                     "calendar_high_water": cluster.sim.calendar_high_water,
                 }
-            reports[name] = dataclasses.asdict(result.report)
         best["events_per_s"] = best["events"] / best["wall_s"]
         best["normalized"] = best["events_per_s"] / calibration
         profiler.record(f"simulate.{name}", best["wall_s"],
                         units=best["events"])
         policies[name] = best
-
-    # v2 ``sharded`` row: the same bench workload under a K-shard
-    # calendar, plus the bit-identity proof against the unsharded row.
-    sharded_best = None
-    for _ in range(ROUNDS):
-        policy, _ = build_policy("lard", None, params)
-        cluster = ClusterSimulator(
-            workload.trace, policy, params,
-            warmup_fraction=BENCH.warmup_fraction,
-            window_s=BENCH.duration_s, shards=SHARDED_K)
-        t0 = time.perf_counter()
-        result = cluster.run()
-        wall = time.perf_counter() - t0
-        if sharded_best is None or wall < sharded_best["wall_s"]:
-            stats = result.shard_stats
-            sharded_best = {
-                "events": cluster.sim.events_processed,
-                "wall_s": wall,
-                "completed": result.report.completed,
-                "cross_shard_events": stats.cross_shard_events,
-                "lookahead_violations": stats.lookahead_violations,
-                "report_identical": (dataclasses.asdict(result.report)
-                                     == reports["lard"]),
-            }
-    sharded_best["events_per_s"] = (sharded_best["events"]
-                                    / sharded_best["wall_s"])
-    sharded_best["normalized"] = sharded_best["events_per_s"] / calibration
-    profiler.record("simulate.sharded", sharded_best["wall_s"],
-                    units=sharded_best["events"])
 
     # Calendar footprint: the same trace, eager vs pumped.
     eager = ClusterSimulator(
@@ -194,18 +158,6 @@ def measurements():
                 "calendar_high_water": p["calendar_high_water"],
             }
             for name, p in policies.items()
-        },
-        "sharded": {
-            "policy": "lard",
-            "shards": SHARDED_K,
-            "events": sharded_best["events"],
-            "best_wall_s": round(sharded_best["wall_s"], 6),
-            "events_per_s": round(sharded_best["events_per_s"], 1),
-            "normalized_events_per_s": round(sharded_best["normalized"], 6),
-            "completed": sharded_best["completed"],
-            "cross_shard_events": sharded_best["cross_shard_events"],
-            "lookahead_violations": sharded_best["lookahead_violations"],
-            "report_identical": sharded_best["report_identical"],
         },
         "aggregate_events_per_s": round(aggregate, 1),
         "normalized_aggregate": round(aggregate / calibration, 6),
@@ -246,15 +198,6 @@ def test_calendar_high_water_bounded_by_window(measurements):
     assert cal["high_water_pumped"] < n // 2
 
 
-def test_sharded_row_bit_identical_and_made_progress(measurements):
-    row = measurements["sharded"]
-    assert row["shards"] == SHARDED_K
-    assert row["completed"] > 0 and row["events_per_s"] > 0
-    # The K=4 run's report equals the unsharded run field-for-field —
-    # the bench-scale arm of the bit-identity battery.
-    assert row["report_identical"] is True
-
-
 def test_model_cache_round_trip(measurements):
     mc = measurements["model_cache"]
     # The warm pass must not have run any mining phase.
@@ -267,14 +210,11 @@ def test_model_cache_round_trip(measurements):
 
 
 def _baseline_normalized(committed: dict) -> float | None:
-    """Gate metric from a committed artifact — v2, or v1 via the shim.
-
-    The metric (machine-normalised aggregate events/sec over the three
-    policy rows) is computed identically in both schemas; v1 artifacts
-    simply lack the ``sharded`` row, so the gate reads straight through.
-    Unknown schemas gate nothing.
+    """Gate metric from a committed artifact: the machine-normalised
+    aggregate events/sec over the three policy rows.  Other schemas
+    gate nothing.
     """
-    if committed.get("schema") in (BENCH_CORE_SCHEMA, BENCH_CORE_SCHEMA_V1):
+    if committed.get("schema") == BENCH_CORE_SCHEMA:
         value = committed.get("normalized_aggregate")
         return float(value) if value is not None else None
     return None
@@ -306,9 +246,5 @@ def test_events_per_sec_gate_and_artifact(measurements):
     for name, p in measurements["policies"].items():
         print(f"  {name:>6s}: {p['events_per_s']:>12,.0f} events/s "
               f"({p['events']} events, {p['best_wall_s']:.3f} s)")
-    sh = measurements["sharded"]
-    print(f"  sharded(K={sh['shards']}, {sh['policy']}): "
-          f"{sh['events_per_s']:>12,.0f} events/s "
-          f"(identical={sh['report_identical']})")
     print(f"  aggregate: {measurements['aggregate_events_per_s']:,.0f} "
           f"events/s (normalized {measurements['normalized_aggregate']:.4f})")

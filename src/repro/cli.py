@@ -224,13 +224,6 @@ def _print_result(result) -> None:
         a = result.audit
         print(f"  audit: {a.checks_run} invariant sweeps over "
               f"{a.events_seen} events, {a.violations} violations")
-    if result.shard_stats is not None:
-        s = result.shard_stats
-        print(f"  shards: {s.shards} (window {s.window_s * 1e6:.0f} us), "
-              f"cross-shard {s.cross_shard_events} "
-              f"({s.cross_shard_fraction:.1%} of events), "
-              f"lookahead violations {s.lookahead_violations}, "
-              f"barriers {s.barrier_crossings}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -270,8 +263,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     cache_fraction = None if args.cache_mb is not None else args.cache_fraction
     result = run_policy(workload, args.policy, params,
-                        cache_fraction=cache_fraction, audit=args.audit,
-                        shards=args.shards)
+                        cache_fraction=cache_fraction, audit=args.audit)
     if args.stream:
         stats = workload.training_records.stats
         if stats.dropped:
@@ -575,10 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-fraction", type=float, default=0.3,
                    help="aggregate cluster cache as a fraction of the "
                         "site's bytes (default 0.3, Fig. 7)")
-    p.add_argument("--shards", type=int, default=None, metavar="K",
-                   help="partition the event calendar into K shards "
-                        "(conservative-window protocol; results are "
-                        "bit-identical for every K)")
     add_audit_option(p)
     p.set_defaults(func=cmd_replay)
 

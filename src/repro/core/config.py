@@ -13,6 +13,7 @@ with ``*_s`` helpers converting to the engine's seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -126,6 +127,7 @@ class SimulationParams:
         self.validate()
 
     def validate(self) -> None:
+        # Written so NaN fails too: every comparison with NaN is false.
         positive = {
             "connection_latency_us": self.connection_latency_us,
             "disk_latency_fixed_ms": self.disk_latency_fixed_ms,
@@ -135,16 +137,29 @@ class SimulationParams:
             "replication_interval_s": self.replication_interval_s,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        non_negative = {
+            "disk_us_per_kb": self.disk_us_per_kb,
+            "frontend_parse_us": self.frontend_parse_us,
+            "dispatch_us": self.dispatch_us,
+            "dynamic_cpu_ms": self.dynamic_cpu_ms,
+            "hibernate_after_s": self.hibernate_after_s,
+            "wakeup_latency_s": self.wakeup_latency_s,
+        }
+        for name, value in non_negative.items():
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value}"
+                )
         if self.n_backends < 1:
             raise ValueError("n_backends must be >= 1")
         if self.n_frontends < 1:
             raise ValueError("n_frontends must be >= 1")
         if self.backend_workers < 1:
             raise ValueError("backend_workers must be >= 1")
-        if self.dynamic_cpu_ms < 0:
-            raise ValueError("dynamic_cpu_ms must be non-negative")
         if self.cache_policy not in ("lru", "gdsf", "gdsf-pred"):
             raise ValueError(
                 f"unknown cache_policy {self.cache_policy!r}"

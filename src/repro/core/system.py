@@ -376,14 +376,8 @@ def run_policy(
     audit: bool = False,
     telemetry: bool = False,
     model_cache: "ModelCache | str | None" = None,
-    shards: int | None = None,
 ) -> SimulationResult:
     """Mine (if needed), build, and run one policy over a workload.
-
-    ``shards=K`` partitions the event calendar into K shards under the
-    conservative-window protocol (:mod:`repro.sim.shard`); the result
-    carries :class:`~repro.sim.shard.ShardStats` and is bit-identical
-    to the unsharded run for every K.
 
     ``window_s`` bounds the throughput measurement window — pass the
     sustained-load duration when the workload was generated with
@@ -459,7 +453,6 @@ def run_policy(
         future_weights=future_weights,
         auditor=SimulationAuditor() if audit else None,
         telemetry=tel,
-        shards=shards,
     )
     if tel is None:
         return cluster.run()

@@ -67,20 +67,6 @@ _ITERATOR_CALLS = frozenset({
     "map", "filter", "zip", "iter", "enumerate", "reversed",
 })
 
-#: Calendar-scheduling methods (the engine's and the sharded engine's).
-_SCHEDULE_CALLS = frozenset({
-    "schedule", "schedule_at", "schedule_at_reserved",
-})
-
-#: Private calendar state of :class:`repro.sim.engine.Simulator` /
-#: :class:`repro.sim.shard.ShardedSimulator`.  A scheduled closure that
-#: reaches into these couples itself to one process's heap — exactly
-#: the state a shard worker cannot share.
-_ENGINE_PRIVATE_ATTRS = frozenset({
-    "_heap", "_heaps", "_seq", "_high_water", "_pending",
-    "_owner_shard", "_current_shard", "_events_processed",
-})
-
 
 def _pool_classes(ctx: FileContext) -> Iterator[ast.ClassDef]:
     for node in ast.walk(ctx.tree):
@@ -254,75 +240,4 @@ def check_pool_generator_state(ctx: FileContext) -> Iterator[Diagnostic]:
                     node, "pool-generator-state",
                     f"{desc} stores {what}; it will not pickle (or "
                     "arrives exhausted) across the --jobs pool",
-                )
-
-
-def _scheduled_callbacks(
-    scope: ast.AST,
-) -> Iterator[tuple[ast.Call, str, ast.AST]]:
-    """(schedule call, description, callback body) for every lambda or
-    locally-defined closure handed to a calendar-scheduling method
-    inside ``scope``."""
-    local_defs = {
-        n.name: n
-        for n in ast.walk(scope)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and n is not scope
-    }
-    for call in ast.walk(scope):
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in _SCHEDULE_CALLS):
-            continue
-        args = list(call.args) + [kw.value for kw in call.keywords]
-        for arg in args:
-            if isinstance(arg, ast.Lambda):
-                yield call, "a lambda", arg
-            elif isinstance(arg, ast.Name) and arg.id in local_defs:
-                yield call, f"local closure {arg.id}()", local_defs[arg.id]
-
-
-@rule(
-    "pool-shard-closure",
-    "pools",
-    "a closure scheduled on the simulation calendar must not reach "
-    "into private engine state (_heap/_heaps/_seq/...); it pins the "
-    "callback to one shard's mutable heap and cannot ship to a worker",
-    bad_example=(
-        "class Worker:\n"
-        "    def start(self, sim):\n"
-        "        sim.schedule_at(0.0, lambda: sim._heap.clear())\n"
-    ),
-    bad_lines=(3,),
-    good_example=(
-        "class Worker:\n"
-        "    def start(self, sim):\n"
-        "        sim.schedule_at(0.0, self.tick)\n"
-    ),
-)
-def check_pool_shard_closure(ctx: FileContext) -> Iterator[Diagnostic]:
-    seen: set[int] = set()
-    for scope in ast.walk(ctx.tree):
-        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for call, desc, body in _scheduled_callbacks(scope):
-            if id(call) in seen:
-                # Nested defs are walked as their own scope too; report
-                # each schedule call once.
-                continue
-            seen.add(id(call))
-            tainted = sorted({
-                sub.attr
-                for sub in ast.walk(body)
-                if isinstance(sub, ast.Attribute)
-                and sub.attr in _ENGINE_PRIVATE_ATTRS
-            })
-            if tainted:
-                yield ctx.diagnostic(
-                    call, "pool-shard-closure",
-                    f"scheduled callback {desc} captures private engine "
-                    f"state ({', '.join(tainted)}); a shard worker "
-                    "cannot share another process's calendar",
                 )

@@ -4,8 +4,8 @@ A rule is a named check over one parsed file.  Registering one takes a
 :func:`rule` decorator around a ``check(ctx) -> list[Diagnostic]``
 function plus a scope predicate and a pair of self-test snippets; the
 CLI, the pragma machinery, ``--self-test`` and the fixture tests all
-discover it through this registry, so a new rule (say, shard-barrier
-discipline for the sharded simulator) is one function in one module.
+discover it through this registry, so a new rule is one function in
+one module.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from .frontend import ConnectionState, Dispatcher
 from .gdsf import GDSFCache, PredictiveGDSFCache, make_cache
 from .power import PowerManager, PowerReport
 from .server import BackendServer
-from .shard import ShardStats, ShardedSimulator
 from .stats import CompletionRecord, MetricsCollector, SimulationReport
 from .tracing import RequestTracer, TraceEvent, events_from_jsonl
 
@@ -31,7 +30,6 @@ __all__ = [
     "GDSFCache", "PredictiveGDSFCache", "make_cache",
     "PowerManager", "PowerReport",
     "BackendServer",
-    "ShardStats", "ShardedSimulator",
     "CompletionRecord", "MetricsCollector", "SimulationReport",
     "RequestTracer", "TraceEvent", "events_from_jsonl",
 ]

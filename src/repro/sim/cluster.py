@@ -24,7 +24,7 @@ an eager scheduler would have used, which makes the event order — and
 therefore every result — bit-identical to eager scheduling; the
 property tests replay random traces under both modes to prove it.
 Requests are pulled in chunks so their size-derived service times are
-computed as a batch by the selected kernel (:mod:`repro.sim.kernel`).
+computed as a batch (:func:`repro.sim.soa.service_time_arrays`).
 
 Per-request state lives in a struct-of-arrays
 :class:`~repro.sim.soa.FlowTable` shared with the backends: the
@@ -42,12 +42,11 @@ results are bit-identical (the streamed-replay differential check and
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
-    TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, runtime_checkable,
+    TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable,
 )
 
 import numpy as np
@@ -59,11 +58,9 @@ from ..policies.base import Policy, RoutingDecision
 from .audit import AuditSummary, SimulationAuditor
 from .engine import Resource, Simulator
 from .frontend import ConnectionState, Dispatcher
-from .kernel import service_time_arrays
 from .power import PowerManager, PowerReport
 from .server import BackendServer
-from .shard import ShardStats, ShardedSimulator
-from .soa import FlowTable
+from .soa import FlowTable, service_time_arrays
 from .stats import MetricsCollector, SimulationReport
 from .failures import FailureSchedule
 from .tracing import RequestTracer
@@ -110,8 +107,8 @@ class _ArrivalPump:
       remain, and the calendar cannot drain early.
 
     Pulling in chunks is what lets the size-derived service times
-    (transmit, disk read) be priced as one batched kernel call
-    (:func:`repro.sim.kernel.service_time_arrays`) instead of two
+    (transmit, disk read) be priced as one batched call
+    (:func:`repro.sim.soa.service_time_arrays`) instead of two
     scalar method calls per request; the per-element results are
     bit-identical to the scalar path.
     """
@@ -191,65 +188,6 @@ class _ArrivalPump:
         )
 
 
-def _arrival_key(req: Request) -> float:
-    return req.arrival
-
-
-class _MergedSource:
-    """Several time-sorted sources presented to the pump as one.
-
-    Iteration is a lazy k-way merge on arrival time (ties: earlier
-    source first, each source's internal order preserved — the
-    ``heapq.merge`` rule).  Length, catalog, start and connection
-    counts come from per-source summary state, so nothing is
-    materialised.
-
-    This is also the ``calendar_high_water`` fix for multi-source
-    runs: all sources share **one** arrival pump, so one lookahead
-    window — and one reserved sequence block covering the merged
-    order — bounds the total calendar footprint.  Naive per-source
-    pumps would each keep a full window in the calendar (K sources →
-    K·window high water), and per-source reserved blocks would force
-    eager scheduling of later sources; the regression tests pin the
-    merged bound and the report equality against a materialised
-    :meth:`~repro.logs.records.Trace.merge`.
-    """
-
-    def __init__(self, sources: Sequence["Trace | RequestSource"]) -> None:
-        if not sources:
-            raise ValueError("no sources")
-        self.sources = list(sources)
-        self.name = "+".join(s.name for s in self.sources)
-
-    def __iter__(self):
-        return heapq.merge(*self.sources, key=_arrival_key)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.sources)
-
-    @property
-    def start(self) -> float:
-        return min(s.start for s in self.sources)
-
-    @property
-    def duration(self) -> float:
-        start = self.start
-        return max(s.start + s.duration for s in self.sources) - start
-
-    @property
-    def catalog(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for s in self.sources:
-            merged.update(s.catalog)
-        return merged
-
-    def connection_counts(self) -> Counter:
-        counts: Counter[int] = Counter()
-        for s in self.sources:
-            counts.update(s.connection_counts())
-        return counts
-
-
 @runtime_checkable
 class Replicator(Protocol):
     """Optional popularity-driven replication engine (Algorithm 3)."""
@@ -280,11 +218,6 @@ class SimulationResult:
     #: latency histograms, phase profile.  Like the audit layer, pure
     #: observation — the report is bit-identical either way.
     telemetry: "TelemetrySummary | None" = None
-    #: Present when the calendar was sharded (``shards=K``): per-shard
-    #: event counts and the conservative-window protocol counters.  The
-    #: report is bit-identical with and without sharding — the property
-    #: tests prove it at K ∈ {1, 2, 4}.
-    shard_stats: ShardStats | None = None
 
     @property
     def throughput_rps(self) -> float:
@@ -315,8 +248,6 @@ class ClusterSimulator:
         materialized :class:`Trace` or a lazy re-iterable
         :class:`~repro.logs.replay.RequestSource`; both replay
         bit-identically, the source without ever holding the requests.
-        A list/tuple of traces/sources replays their lazy arrival-time
-        merge through a single shared pump (see :class:`_MergedSource`).
     policy:
         A bound-on-construction :class:`~repro.policies.base.Policy`.
     params:
@@ -334,18 +265,11 @@ class ClusterSimulator:
         :data:`DEFAULT_ARRIVAL_WINDOW`; ``0`` schedules the whole trace
         eagerly (the legacy mode, kept for the differential property
         tests).  Results are bit-identical across all values.
-    shards:
-        Partition the event calendar into K shards (backends spread
-        contiguously; distributor, front ends and control plane on
-        shard 0) under the conservative-window protocol of
-        :class:`~repro.sim.shard.ShardedSimulator`.  ``None`` (default)
-        uses the plain single-heap engine.  Results are bit-identical
-        for every K, including K=1.
     """
 
     def __init__(
         self,
-        trace: "Trace | RequestSource | Sequence[Trace | RequestSource] | None",
+        trace: "Trace | RequestSource | None",
         policy: Policy,
         params: SimulationParams | None = None,
         *,
@@ -359,7 +283,6 @@ class ClusterSimulator:
         auditor: "SimulationAuditor | None" = None,
         telemetry: "Telemetry | None" = None,
         arrival_window: int | None = None,
-        shards: int | None = None,
     ) -> None:
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -370,11 +293,6 @@ class ClusterSimulator:
         elif arrival_window < 0:
             raise ValueError("arrival_window must be >= 0")
         self.arrival_window = arrival_window
-        if isinstance(trace, (list, tuple)):
-            # Multiple concurrent sources: merge them lazily so one
-            # pump (one lookahead window, one reserved block) drives
-            # them all — see _MergedSource.
-            trace = _MergedSource(trace)
         if trace is not None and len(trace) == 0:
             raise ValueError("trace is empty")
         if trace is None:
@@ -384,19 +302,8 @@ class ClusterSimulator:
                 raise ValueError("injection mode requires a catalog")
             if window_s is None:
                 raise ValueError("injection mode requires window_s")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1 (or None for unsharded)")
         self.params = params or SimulationParams()
-        self.shards = shards
-        if shards is None:
-            self.sim: Simulator = Simulator()
-        else:
-            # Lookahead window W = the minimum inter-shard latency: no
-            # cross-shard interaction lands sooner than one connection
-            # latency on a real cluster's network.
-            self.sim = ShardedSimulator(
-                shards, window_s=self.params.connection_latency_s
-            )
+        self.sim = Simulator()
         self.policy = policy
         self.trace = trace
         self.warmup_fraction = warmup_fraction
@@ -491,33 +398,6 @@ class ClusterSimulator:
         self._after_frontend_cb = self._after_frontend
         self._deliver_cb = self._deliver
         self._flow_done_cb = self._flow_done
-        if shards is not None:
-            self._register_shard_owners()
-
-    def _register_shard_owners(self) -> None:
-        """Pin components to calendar shards (sharded mode only).
-
-        Backends — the bulk of the event traffic — are spread over the
-        shards in contiguous blocks (``i * K // n``, which also handles
-        K > n by leaving trailing shards empty).  The distributor-side
-        components (cluster, front ends, power/replication control
-        plane) stay on shard 0, the control lane.
-        """
-        sim = self.sim
-        assert isinstance(sim, ShardedSimulator)
-        sim.register_owner(self, 0)
-        for fe in self.frontends:
-            sim.register_owner(fe, 0)
-        sim.register_owner(self.power, 0)
-        if self.replicator is not None:
-            sim.register_owner(self.replicator, 0)
-        k = sim.shards
-        n = len(self.servers)
-        for i, server in enumerate(self.servers):
-            shard = i * k // n
-            sim.register_owner(server, shard)
-            sim.register_owner(server.cpu, shard)
-            sim.register_owner(server.disk, shard)
 
     # -- ClusterView protocol ----------------------------------------------
 
@@ -548,9 +428,6 @@ class ClusterSimulator:
         base_seq = self.sim.reserve_sequences(len(trace))
         window = self.arrival_window or len(trace)
         self._arrival_pump = _ArrivalPump(self, trace, base_seq, window)
-        if isinstance(self.sim, ShardedSimulator):
-            # Arrivals are distributor work: the control lane.
-            self.sim.register_owner(self._arrival_pump, 0)
         if self.replicator is not None:
             self.replicator.start()
         self.sim.run()
@@ -783,7 +660,4 @@ class ClusterSimulator:
             dispatcher_lookups=self.dispatcher.lookups,
             audit=(self.auditor.finalize()
                    if self.auditor is not None else None),
-            shard_stats=(self.sim.shard_stats()
-                         if isinstance(self.sim, ShardedSimulator)
-                         else None),
         )

@@ -35,14 +35,7 @@ contracts the paper's PRORD-vs-LARD comparisons silently assume:
   arrival pump) must produce a report field-for-field identical to the
   fully materialized run, on every preset.  Any divergence means
   constant-memory replays no longer measure the same system the
-  figures do;
-* **kernel equivalence** — the batched service-time kernel
-  (:mod:`repro.sim.kernel`, whatever ``REPRO_KERNEL`` selected) must
-  reproduce the scalar ``SimulationParams`` floats bit-for-bit, so
-  reports do not depend on the kernel choice;
-* **shard invariance** — the sharded calendar
-  (:mod:`repro.sim.shard`) must produce field-identical reports for
-  every shard count K, including K=1 vs the unsharded engine.
+  figures do.
 
 Run the whole battery with :func:`run_differential_suite` (CLI:
 ``python -m repro differential``).
@@ -72,8 +65,6 @@ __all__ = [
     "check_grid_parallel",
     "check_streamed_mining",
     "check_streamed_replay",
-    "check_kernel_equivalence",
-    "check_shard_invariance",
     "run_differential_suite",
 ]
 
@@ -427,92 +418,6 @@ def check_streamed_replay(
     )
 
 
-def check_kernel_equivalence(
-    params: "SimulationParams | None" = None,
-) -> DifferentialCheck:
-    """The batch service-time kernel must equal the scalar methods bit-for-bit.
-
-    Whatever kernel ``REPRO_KERNEL`` selected, every per-element result
-    of :func:`repro.sim.kernel.service_time_arrays` must equal the
-    scalar :meth:`SimulationParams.transmit_s` /
-    :meth:`SimulationParams.disk_service_s` floats exactly — the
-    property that makes simulation reports kernel-independent.
-    """
-    import numpy as np
-
-    from ..core.config import SimulationParams
-    from .kernel import active_kernel, service_time_arrays
-
-    params = params or SimulationParams()
-    info = active_kernel()
-    name = f"kernel-equivalence[{info.name}]"
-    # Sizes spanning the interesting range, including awkward odd bytes.
-    sizes = [0, 1, 17, 511, 512, 1023, 1024, 1025, 4096, 65_537,
-             1 << 20, (1 << 24) + 3]
-    tx, disk = service_time_arrays(
-        np.array(sizes, dtype=np.float64),
-        params.transmit_us_per_kb,
-        params.disk_latency_fixed_ms,
-        params.disk_us_per_kb,
-    )
-    for i, size in enumerate(sizes):
-        if tx[i] != params.transmit_s(size) or (
-                disk[i] != params.disk_service_s(size)):
-            return DifferentialCheck(
-                name, False,
-                f"size={size}: batch ({tx[i]!r}, {disk[i]!r}) != scalar "
-                f"({params.transmit_s(size)!r}, "
-                f"{params.disk_service_s(size)!r})",
-            )
-    detail = (f"{len(sizes)} sizes bit-identical to the scalar path"
-              + (f" (fell back: {info.reason})" if info.reason else ""))
-    return DifferentialCheck(name, True, detail)
-
-
-def check_shard_invariance(
-    workload: "Workload",
-    scale: "ExperimentScale",
-    policy_name: str = "prord",
-    params: "SimulationParams | None" = None,
-    *,
-    shard_counts: Sequence[int] = (1, 2, 4),
-) -> DifferentialCheck:
-    """Sharded runs must equal the unsharded run for every K.
-
-    The K-way merged calendar pops the global ``(time, seq)`` minimum,
-    so execution order — and therefore the report — is independent of
-    the shard count by construction; this check keeps it that way.
-    """
-    from ..core.system import run_policy
-
-    params = _base_params(workload, scale, params)
-
-    def run(shards: "int | None") -> "SimulationResult":
-        return run_policy(
-            workload, policy_name, params,
-            cache_fraction=None,
-            warmup_fraction=scale.warmup_fraction,
-            window_s=scale.duration_s,
-            shards=shards,
-        )
-
-    name = f"shard-invariance[{policy_name}]"
-    base = report_fields(run(None))
-    for k in shard_counts:
-        check = _compare(
-            name, base, report_fields(run(k)),
-            f"{policy_name} unsharded vs shards={k} on {workload.name}",
-        )
-        if not check.passed:
-            return check
-    return DifferentialCheck(
-        name, True,
-        f"{policy_name} on {workload.name}: K ∈ "
-        f"{{{', '.join(map(str, shard_counts))}}} all field-identical "
-        "to unsharded",
-    )
-
-
 # -- the battery --------------------------------------------------------------
 
 
@@ -539,8 +444,6 @@ def run_differential_suite(
         check_degenerate_prord(workload, scale, params),
         check_streamed_mining(workload, params),
         check_streamed_replay(params),
-        check_kernel_equivalence(params),
-        check_shard_invariance(workload, scale, params=params),
     ]
     for policy_name in policies:
         checks.append(

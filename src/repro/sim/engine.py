@@ -46,13 +46,6 @@ class Simulator:
     from the paper's µs/ms constants at the edges.
     """
 
-    #: True on sharded subclasses (:class:`repro.sim.shard.
-    #: ShardedSimulator`).  Components that push calendar entries
-    #: directly into ``_heap`` (the Resource fast paths) must check this
-    #: and fall back to :meth:`schedule_at`, which classifies the event
-    #: to its owner's shard.
-    sharded = False
-
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[..., None], object]] = []
         self._seq = 0
@@ -138,9 +131,14 @@ class Simulator:
 
         The loop pops each calendar entry exactly once; when ``until``
         cuts the run short, the one overshooting entry is pushed back.
-        The observation hook is bound on entry — install ``on_event``
-        before calling.
+        ``until`` earlier than the clock is an error (the clock never
+        moves backwards).  The observation hook is bound on entry —
+        install ``on_event`` before calling.
         """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"cannot run until the past: {until} < now {self.now}"
+            )
         heap = self._heap
         pop = heapq.heappop
         on_event = self.on_event
@@ -298,12 +296,6 @@ class Resource:
         self._cur_arg = arg
         sim = self.sim
         self._service_started = now = sim.now
-        if sim.sharded:
-            # Sharded calendars classify by callback owner; go through
-            # schedule_at so the completion lands on this resource's
-            # shard.  Same sequence draw, same (time, seq) key.
-            sim.schedule_at(now + service_time, self._finish_cb)
-            return None
         seq = sim._seq
         sim._seq = seq + 1
         heap = sim._heap
@@ -343,17 +335,14 @@ class Resource:
             self._cur_done = job.done
             self._cur_arg = job.arg
             self._service_started = now = sim.now
-            if sim.sharded:
-                sim.schedule_at(now + job.service_time, self._finish_cb)
-            else:
-                seq = sim._seq
-                sim._seq = seq + 1
-                heap = sim._heap
-                heapq.heappush(
-                    heap, (now + job.service_time, seq, self._finish_cb, None)
-                )
-                if len(heap) > sim._high_water:
-                    sim._high_water = len(heap)
+            seq = sim._seq
+            sim._seq = seq + 1
+            heap = sim._heap
+            heapq.heappush(
+                heap, (now + job.service_time, seq, self._finish_cb, None)
+            )
+            if len(heap) > sim._high_water:
+                sim._high_water = len(heap)
         else:
             self._busy = False
             self._cur_done = None

@@ -17,18 +17,25 @@ Slot lifecycle: allocated at arrival (``alloc``), carried through the
 frontend → deliver → CPU → cache/disk → transmit stages, and released
 by the finish target (``release``), which clears object references so
 a recycled slot never pins dead requests.
+
+The arrival pump fills the ``tx_s``/``disk_s`` columns a chunk at a
+time: :func:`service_time_arrays` prices a whole batch of sizes in one
+vectorised call, bit-identical to the scalar ``SimulationParams``
+methods.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..logs.records import Request
     from .cluster import CompletionCallback
     from .server import BackendServer
 
-__all__ = ["FlowTable"]
+__all__ = ["FlowTable", "service_time_arrays"]
 
 #: Slots added per growth step — large enough that growth is rare,
 #: small enough that an idle cluster stays tiny.
@@ -36,6 +43,27 @@ _GROW = 256
 
 #: Completion target stored per slot: ``finish(slot, server_id, hit)``.
 FinishCallback = Callable[[int, int, bool], None]
+
+_KB = 1024.0
+
+
+def service_time_arrays(
+    sizes: np.ndarray,
+    transmit_us_per_kb: float,
+    disk_fixed_ms: float,
+    disk_us_per_kb: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``(transmit_s, disk_service_s)`` for ``sizes`` (bytes).
+
+    Operation order matches ``SimulationParams.transmit_s`` /
+    ``disk_service_s`` exactly (scale factor first, then the per-element
+    multiply, then the KB divide), so every element is bit-identical to
+    the scalar path — the property that keeps batched pricing from
+    changing any report.
+    """
+    tx = transmit_us_per_kb * 1e-6 * sizes / _KB
+    disk = disk_fixed_ms * 1e-3 + disk_us_per_kb * 1e-6 * sizes / _KB
+    return tx, disk
 
 
 class FlowTable:

@@ -81,15 +81,12 @@ class TestSuite:
         assert isinstance(report, DifferentialReport)
         assert report.passed, report.format()
         names = [c.name for c in report.checks]
-        # degenerate + streamed mining + streamed replay + kernel +
-        # shard invariance + (determinism, audit, telemetry) per
-        # policy + grid.
+        # degenerate + streamed mining + streamed replay +
+        # (determinism, audit, telemetry) per policy + grid.
         assert names == [
             "degenerate-prord",
             "streamed-mining",
             "streamed-replay",
-            "kernel-equivalence[python]",
-            "shard-invariance[prord]",
             "determinism[lard]", "audit-transparency[lard]",
             "telemetry-transparency[lard]",
             "determinism[prord]", "audit-transparency[prord]",

@@ -1,5 +1,7 @@
 """Tests for the dynamic-content extension (the paper's future work)."""
 
+import math
+
 import pytest
 
 from repro.core import SimulationParams
@@ -62,6 +64,17 @@ class TestSiteGeneration:
         assert all(not r.is_embedded for r in dynamic)
 
 
+#: Cost fields that must be finite and > 0, and finite and >= 0.
+_POSITIVE_COSTS = (
+    "connection_latency_us", "disk_latency_fixed_ms", "handoff_us",
+    "transmit_us_per_kb", "backend_cpu_us", "replication_interval_s",
+)
+_NON_NEGATIVE_COSTS = (
+    "disk_us_per_kb", "frontend_parse_us", "dispatch_us",
+    "dynamic_cpu_ms", "hibernate_after_s", "wakeup_latency_s",
+)
+
+
 class TestServerDynamicPath:
     def test_dynamic_never_cached(self):
         sim = Simulator()
@@ -90,9 +103,18 @@ class TestServerDynamicPath:
                     + params.transmit_s(1024))
         assert done_at[0] == pytest.approx(expected)
 
-    def test_dynamic_cpu_param_validated(self):
-        with pytest.raises(ValueError):
-            SimulationParams(dynamic_cpu_ms=-1)
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in _POSITIVE_COSTS + _NON_NEGATIVE_COSTS
+        for value in (-1.0, math.nan, math.inf)
+    ] + [(field, 0.0) for field in _POSITIVE_COSTS])
+    def test_dynamic_cpu_param_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulationParams(**{field: value})
+
+    @pytest.mark.parametrize("field", _NON_NEGATIVE_COSTS)
+    def test_zero_cost_stays_legal(self, field):
+        assert getattr(SimulationParams(**{field: 0.0}), field) == 0.0
 
 
 class TestClusterDynamicRouting:

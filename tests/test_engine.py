@@ -58,12 +58,20 @@ class TestSimulator:
         log = []
         sim.schedule_at(1.0, lambda: log.append(1))
         sim.schedule_at(10.0, lambda: log.append(10))
+        sim.schedule_at(20.0, lambda: log.append(20))
         sim.run(until=5.0)
         assert log == [1]
         assert sim.now == 5.0
+        assert sim.pending_events == 2
+        sim.run(until=15.0)
+        assert log == [1, 10]
+        # An ``until`` behind the clock is refused before anything pops.
+        with pytest.raises(ValueError, match="past"):
+            sim.run(until=12.0)
+        assert sim.now == 15.0
         assert sim.pending_events == 1
         sim.run()
-        assert log == [1, 10]
+        assert log == [1, 10, 20]
 
     def test_step(self):
         sim = Simulator()

@@ -1,26 +1,44 @@
-"""Kernel selection and scalar/batch bit-identity.
+"""Batched arrival pricing: batch == scalar, bit for bit.
 
-The arrival pump prices request service times through the selected
-kernel (:mod:`repro.sim.kernel`).  The contract: every kernel's
-per-element floats equal the scalar ``SimulationParams`` methods
-**bit-for-bit**, so the simulation report never depends on the
-``REPRO_KERNEL`` knob; a requested-but-unavailable kernel falls back
-to python and records why; an unknown kernel name is a hard error.
+The arrival pump prices request service times a chunk at a time
+through the kernel :func:`repro.sim.soa.service_time_arrays`.  Every
+element must equal the scalar ``SimulationParams.transmit_s`` /
+``disk_service_s`` floats **exactly**, so batching never changes a
+report.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import SimulationParams
-from repro.sim import kernel
-from repro.sim.kernel import (
-    KERNEL_ENV,
-    active_kernel,
-    service_time_arrays,
-)
+from repro.sim.soa import service_time_arrays
 
+#: Adversarial sizes: zero, odd bytes, either side of a KB boundary,
+#: and large sizes whose float products round.
 SIZES = [0, 1, 17, 511, 512, 1023, 1024, 1025, 4096, 65_537,
          1 << 20, (1 << 24) + 3]
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                      allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_nan=False,
+                          allow_infinity=False)
+
+
+def _assert_batch_equals_scalar(params, sizes):
+    # Huge costs overflow to inf on both paths alike.
+    with np.errstate(over="ignore"):
+        tx, disk = service_time_arrays(
+            np.array(sizes, dtype=np.float64),
+            params.transmit_us_per_kb,
+            params.disk_latency_fixed_ms,
+            params.disk_us_per_kb,
+        )
+    for i, size in enumerate(sizes):
+        # Exact float equality, not approx: the simulation's
+        # bit-reproducibility rides on this.
+        assert tx[i] == params.transmit_s(size)
+        assert disk[i] == params.disk_service_s(size)
 
 
 class TestBitIdentity:
@@ -30,62 +48,21 @@ class TestBitIdentity:
                                           disk_us_per_kb=91.0),
     ], ids=["table1", "overridden"])
     def test_batch_equals_scalar_bit_for_bit(self, params):
-        tx, disk = service_time_arrays(
-            np.array(SIZES, dtype=np.float64),
-            params.transmit_us_per_kb,
-            params.disk_latency_fixed_ms,
-            params.disk_us_per_kb,
+        _assert_batch_equals_scalar(params, SIZES)
+
+    @given(
+        sizes=st.lists(st.integers(0, 2**40), min_size=1, max_size=32),
+        transmit_us_per_kb=_positive,
+        disk_latency_fixed_ms=_positive,
+        disk_us_per_kb=_non_negative,
+    )
+    def test_batch_equals_scalar_property(
+        self, sizes, transmit_us_per_kb, disk_latency_fixed_ms,
+        disk_us_per_kb,
+    ):
+        params = SimulationParams(
+            transmit_us_per_kb=transmit_us_per_kb,
+            disk_latency_fixed_ms=disk_latency_fixed_ms,
+            disk_us_per_kb=disk_us_per_kb,
         )
-        for i, size in enumerate(SIZES):
-            # Exact float equality, not approx: the simulation's
-            # bit-reproducibility rides on this.
-            assert tx[i] == params.transmit_s(size)
-            assert disk[i] == params.disk_service_s(size)
-
-    def test_python_kernel_directly(self):
-        params = SimulationParams()
-        tx, disk = kernel._service_time_arrays_python(
-            np.array(SIZES, dtype=np.float64),
-            params.transmit_us_per_kb,
-            params.disk_latency_fixed_ms,
-            params.disk_us_per_kb,
-        )
-        assert all(tx[i] == params.transmit_s(s)
-                   for i, s in enumerate(SIZES))
-        assert all(disk[i] == params.disk_service_s(s)
-                   for i, s in enumerate(SIZES))
-
-
-class TestSelection:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        info, impl = kernel._select()
-        assert info.name == "python" and info.available
-        assert impl is kernel._service_time_arrays_python
-
-    def test_blank_env_means_python(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "  ")
-        info, _ = kernel._select()
-        assert info.name == "python"
-
-    def test_numba_request_falls_back_when_missing(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numba")
-        info, impl = kernel._select()
-        assert info.requested == "numba"
-        if info.available:  # pragma: no cover - numba present
-            assert info.name == "numba"
-        else:
-            # The container has no numba: python fallback, recorded.
-            assert info.name == "python"
-            assert "numba" in info.reason
-            assert impl is kernel._service_time_arrays_python
-
-    def test_unknown_kernel_is_an_error(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "cython")
-        with pytest.raises(ValueError, match=KERNEL_ENV):
-            kernel._select()
-
-    def test_active_kernel_reports_import_time_choice(self):
-        info = active_kernel()
-        assert info.name in ("python", "numba")
-        assert info.requested in ("python", "numba")
+        _assert_batch_equals_scalar(params, sizes)
