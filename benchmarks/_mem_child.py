@@ -2,15 +2,19 @@
 
 Each invocation runs ONE pipeline in a fresh interpreter and prints a
 single JSON line with its own ``ru_maxrss`` — peak resident set size is
-a per-process high-water mark, so batch and streamed mining must not
-share a process or the larger one poisons the other's reading.
+a per-process high-water mark, so the materialized and streamed runs
+must not share a process or the larger one poisons the other's reading.
+
+Both mining modes run the same one-pass fold (``mine_models``); they
+differ only in its input: ``batch`` reads the whole log into a list
+first, ``stream`` folds a ``CLFSource`` straight off disk.
 
 Modes::
 
     _mem_child.py genlog <log-path> <preset> <scale> <stretch>
     _mem_child.py base                                 # import-only floor
-    _mem_child.py batch  <log-path>                    # materialized mining
-    _mem_child.py stream <log-path>                    # one-pass fold mining
+    _mem_child.py batch  <log-path>                    # fold a record list
+    _mem_child.py stream <log-path>                    # fold off disk
     _mem_child.py genwl  <dir> <preset> <scale>        # save a workload dir
     _mem_child.py replay <dir> batch|stream            # end-to-end run_policy
 
@@ -18,7 +22,7 @@ The ``replay`` modes measure the full evaluation path: load a saved
 workload (materialized lists vs lazy ``CLFSource`` +
 ``SidecarRequestSource``) and drive ``run_policy`` over it.  The policy
 is ``lard`` — it never mines, so the measurement isolates the trace and
-training-log footprint rather than re-measuring the mining pipelines
+training-log footprint rather than re-measuring the mining modes
 above.  Each replay child also prints its simulation report so the
 parent can assert batch and streamed replays are field-for-field
 identical *across processes*.
@@ -26,9 +30,10 @@ identical *across processes*.
 ``stretch`` multiplies the log's time axis.  The synthetic presets
 compress a huge request count into minutes of simulated time — shorter
 than the 30-minute session timeout, so *no* session would ever retire
-and streaming would degenerate to batch.  Real logs of this size span
-hours to days; stretching restores that timescale (intra-session gaps
-stay far below the timeout) without touching the request structure.
+and the streamed fold would hold the whole log open.  Real logs of this
+size span hours to days; stretching restores that timescale
+(intra-session gaps stay far below the timeout) without touching the
+request structure.
 
 ``base`` imports exactly what the measured modes import, so
 ``mode_rss - base_rss`` isolates the pipeline's own footprint from the
@@ -44,12 +49,12 @@ from pathlib import Path
 
 # The same imports in every mode, so the `base` floor is honest.
 from repro.core.system import mine_models, run_policy
-from repro.logs.clf import CLFSource, ParseStats, read_log, write_log
+from repro.logs.clf import CLFSource, write_log
 from repro.logs.records import Trace
 from repro.logs.site import Website
 from repro.logs.store import load_workload, save_workload
 from repro.logs.workloads import Workload, make_workload, training_log_records
-from repro.mining.fold import mine_models_stream, models_fingerprint
+from repro.mining.fold import models_fingerprint
 from repro.sim.differential import report_fields
 
 
@@ -82,18 +87,14 @@ def mode_base() -> None:
     _emit({"mode": "base"})
 
 
-def _batch_workload(path: Path) -> Workload:
-    """A Workload around a materialized log — what the bench compares
-    against.  Site/trace are unused by mining."""
-    stats = ParseStats()
-    with path.open() as fp:
-        records = read_log(fp, strict=False, stats=stats)
+def _mining_workload(records: list | CLFSource) -> Workload:
+    """A Workload around a training log; site/trace are unused by mining."""
     return Workload(name="membench", site=Website([], name="membench"),
                     training_records=records, trace=Trace([]))
 
 
 def mode_batch(path: Path) -> None:
-    workload = _batch_workload(path)
+    workload = _mining_workload(list(CLFSource(path)))
     models = mine_models(workload)
     _emit({
         "mode": "batch",
@@ -105,7 +106,7 @@ def mode_batch(path: Path) -> None:
 
 def mode_stream(path: Path) -> None:
     source = CLFSource(path)
-    models = mine_models_stream(source)
+    models = mine_models(_mining_workload(source))
     _emit({
         "mode": "stream",
         "records": source.stats.parsed,

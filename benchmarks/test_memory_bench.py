@@ -2,10 +2,11 @@
 
 Proves the streaming claim with numbers, twice over:
 
-* **mining** — ingest + sessionize + mine over the WorldCup-preset
-  training log (``BENCH_MEMORY_SCALE``, default 0.5 — ~450 k requests)
-  must peak at least ``BENCH_MEMORY_MIN_RATIO`` (default 4x) *below*
-  the batch pipeline, and both pipelines must produce
+* **mining** — the one-pass fold over the WorldCup-preset training log
+  (``BENCH_MEMORY_SCALE``, default 0.5 — ~450 k requests), streamed off
+  disk from a ``CLFSource``, must peak at least
+  ``BENCH_MEMORY_MIN_RATIO`` (default 4x) *below* the same fold over the
+  log read into a list first (the "batch" row), and both must produce
   fingerprint-identical :class:`MinedModels`;
 * **replay** — the end-to-end evaluation path: ``run_policy`` over a
   saved workload loaded with ``stream=True`` (lazy ``CLFSource`` +
@@ -158,7 +159,7 @@ def measurements(tmp_path_factory):
 
 
 def test_pipelines_mine_identical_models(measurements):
-    """Streamed mining is bit-identical to batch at benchmark scale."""
+    """Folding off disk mines what folding a list does, at bench scale."""
     assert measurements["batch"]["fingerprint"] == \
         measurements["stream"]["fingerprint"]
     assert measurements["batch"]["num_sessions"] == \

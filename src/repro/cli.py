@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import attrgetter
 from pathlib import Path
+from typing import Iterable
 
 from .core.config import SimulationParams
 from .core.system import POLICY_NAMES, mine_components, run_policy
-from .logs.clf import ParseStats, read_log
+from .logs.clf import CLFSource, ParseStats
 from .logs.records import LogRecord
 from .logs.sessions import page_sequences, sessionize, trace_from_records
 from .logs.workloads import WORKLOAD_PRESETS, Workload, make_workload
 from .mining.bundles import BundleMiner
 from .mining.depgraph import DependencyGraph
-from .mining.popularity import RankTable
+from .mining.fold import StreamingModelFold
 
 __all__ = ["main", "build_parser"]
 
@@ -37,27 +39,22 @@ def _note_drops(stats: ParseStats, path: Path) -> None:
         print(f"note: {path}: {stats.summary()}")
 
 
-def _sampler_from_args(args: argparse.Namespace):
-    """Build the deterministic per-client sampler for ``--sample``."""
-    from .logs.sampling import ClientSampler
-    try:
-        return ClientSampler(args.sample, args.sample_seed)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+def _note_findings(records: list[LogRecord]) -> None:
+    from .logs.validate import validate_records
+    for finding in validate_records(records).findings:
+        if finding.severity != "info":
+            print(f"note: {finding.code}: {finding.message}")
 
 
 def _load_records(path: Path) -> list[LogRecord]:
-    from .logs.validate import validate_records
-    stats = ParseStats()
-    with path.open() as fp:
-        records = read_log(fp, strict=False, stats=stats)
-    _note_drops(stats, path)
+    """Read a whole CLF file (plain or ``.gz``; undecodable bytes are
+    replaced), noting dropped lines and validation findings."""
+    source = CLFSource(path)
+    records = list(source)
+    _note_drops(source.stats, path)
     if not records:
         raise SystemExit(f"error: no parsable CLF lines in {path}")
-    report = validate_records(records)
-    for finding in report.findings:
-        if finding.severity != "info":
-            print(f"note: {finding.code}: {finding.message}")
+    _note_findings(records)
     return records
 
 
@@ -94,76 +91,44 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    path = Path(args.logfile)
-    if args.stream:
-        return _cmd_mine_stream(args, path)
-    records = _load_records(path)
-    if args.sample is not None:
-        sampler = _sampler_from_args(args)
-        total = len(records)
-        records = list(sampler.sample_records(records))
-        if not records:
-            raise SystemExit(
-                f"error: {sampler.describe()} kept none of the "
-                f"{total} records; raise the rate or change the seed"
-            )
-        print(f"note: {sampler.describe()}: kept {len(records)} of "
-              f"{total} records")
-    sessions = sessionize(records, timeout=args.session_timeout)
-    sequences = page_sequences(sessions, min_length=2)
-    graph = DependencyGraph(order=args.order).train(sequences)
-    bundles = BundleMiner().mine_sessions(sessions)
-    ranks = RankTable.from_records(records)
-    print(f"log: {len(records)} requests, {len(ranks)} distinct files")
-    print(f"sessions: {len(sessions)} "
-          f"(mean {len(records) / max(len(sessions), 1):.1f} requests)")
-    print(f"dependency graph (order {graph.order}): "
-          f"{graph.num_pages} pages, {graph.num_contexts} contexts, "
-          f"{graph.memory_cells()} cells")
-    print(f"bundles: {len(bundles)} pages with embedded objects")
-    print("\ntop files by hits:")
-    for path_, count in ranks.top(args.top):
-        print(f"  {count:8d}  {path_}")
-    if sequences:
-        start = sequences[0][0]
-        edges = graph.edge_confidences(start)
-        if edges:
-            print(f"\nnavigation out of {start!r}:")
-            for page, conf in sorted(edges.items(),
-                                     key=lambda kv: -kv[1])[:args.top]:
-                print(f"  {conf:6.1%}  {page}")
-    return 0
+    """Mine a CLF log in one pass and print what the miners found.
 
-
-def _cmd_mine_stream(args: argparse.Namespace, path: Path) -> int:
-    """One-pass constant-memory variant of ``repro mine``.
-
-    The log is never materialized: records stream off disk through the
-    incremental sessionizer into the fold.  Same models, same report —
-    plus the streaming working-set numbers batch mining cannot give.
-    ``--sample`` filters whole clients on the fly with the same
-    deterministic sampler as the batch path.
+    Without ``--stream`` the records are collected, validated and sorted
+    by time first, so any log mines.  With ``--stream`` they fold
+    straight off disk in constant memory, and the log must already be
+    in time order.  ``--sample`` keeps whole clients, deterministically.
     """
-    from .logs.clf import CLFSource
-    from .mining.fold import StreamingModelFold
-
-    if args.sample is not None:
-        _sampler_from_args(args)  # validate the rate before the pass
-    source = CLFSource(path, sample_rate=args.sample,
-                       sample_seed=args.sample_seed)
+    path = Path(args.logfile)
+    if not args.session_timeout > 0:
+        raise SystemExit("error: --session-timeout must be positive")
+    if args.order < 1:
+        raise SystemExit("error: --order must be >= 1")
+    if args.top < 1:
+        raise SystemExit("error: --top must be >= 1")
+    try:
+        source = CLFSource(path, sample_rate=args.sample,
+                           sample_seed=args.sample_seed)
+    except ValueError as exc:  # a --sample rate outside (0, 1]
+        raise SystemExit(f"error: {exc}")
+    records: Iterable[LogRecord] = source
+    if not args.stream:
+        collected = list(source)
+        if collected:
+            _note_findings(collected)
+        collected.sort(key=attrgetter("timestamp"))
+        records = collected
     fold = StreamingModelFold(
         SimulationParams(depgraph_order=args.order),
         timeout=args.session_timeout,
     )
     try:
-        fold.add_records(iter(source))
+        fold.add_records(records)
     except ValueError as exc:
         raise SystemExit(
             f"error: {path} is not in time order ({exc}); "
-            "sort it or use batch mining (drop --stream)"
+            "sort it or drop --stream"
         )
-    stats = source.stats
-    _note_drops(stats, path)
+    _note_drops(source.stats, path)
     if source.sampler is not None:
         print(f"note: {source.sampler.describe()}: kept "
               f"{fold.records_seen} of "
@@ -179,8 +144,7 @@ def _cmd_mine_stream(args: argparse.Namespace, path: Path) -> int:
     peak_open = fold.peak_open_sessions
     models = fold.finish()
     graph, ranks = models.graph, models.rank_table
-    print(f"log: {fold.records_seen} requests, {len(ranks)} distinct files "
-          "(streamed)")
+    print(f"log: {fold.records_seen} requests, {len(ranks)} distinct files")
     print(f"sessions: {models.num_sessions} "
           f"(peak {peak_open} open; working set, not the trace)")
     print(f"dependency graph (order {graph.order}): "
@@ -523,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10,
                    help="rows in the top-N listings")
     p.add_argument("--stream", action="store_true",
-                   help="one-pass constant-memory mining (log must be in "
-                        "time order; same models as batch)")
+                   help="fold the log straight off disk in constant "
+                        "memory instead of collecting and sorting it "
+                        "first (the log must be in time order)")
     add_sample_options(p)
     p.set_defaults(func=cmd_mine)
 

@@ -2,8 +2,9 @@
 
 This is the paper's full pipeline in one place:
 
-1. **mine** the training web log — sessions → dependency graph, bundle
-   table, popularity rank table, user categorizer (§3, §4.1);
+1. **mine** the training web log in one pass — sessions → dependency
+   graph, bundle table, popularity rank table, user categorizer (§3,
+   §4.1);
 2. **build** a distribution policy (PRORD or a baseline) and, for
    PRORD-family configurations, an Algorithm-3 replication engine seeded
    with the offline rank table;
@@ -18,14 +19,16 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace as dc_replace
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
+from ..logs.clf import CLFSource
 from ..logs.records import Trace
-from ..logs.sessions import page_sequences, sessionize
 from ..logs.workloads import Workload
-from ..mining.bundles import BundleMiner, BundleTable
+from ..mining.bundles import BundleTable
 from ..mining.categorize import UserCategorizer
 from ..mining.depgraph import DependencyGraph
+from ..mining.fold import StreamingModelFold
 from ..mining.popularity import PopularityTracker, RankTable
 from ..mining.prefetch import PrefetchPredictor
 from ..policies.base import Policy
@@ -147,71 +150,37 @@ def mine_models(
 ) -> MinedModels:
     """Run the paper's offline web-log mining over the training log.
 
+    One pass of :class:`~repro.mining.fold.StreamingModelFold` over
+    ``workload.training_records``.  An in-memory record list is first
+    sorted stably by timestamp — a linear pass on a log already in time
+    order, as every preset's is — so an out-of-order list mines the
+    sessions a per-client sort would give.  A lazy
+    :class:`~repro.logs.clf.CLFSource` (``load_workload(...,
+    stream=True)``) folds straight off disk in constant memory and must
+    be in time order; the fold raises ``ValueError`` otherwise.
+
     ``predictor_kind`` selects the navigation model behind the prefetch
     predictor: ``"depgraph"`` (the paper's n-order dependency graph) or
     ``"ppm"`` (the related-work Prediction-by-Partial-Match comparator,
     which shares the candidates/predict API).
 
-    ``profiler`` (optional) records the wall-clock of each mining stage
-    under ``mine.*`` phases — sessionize, depgraph, bundles, categorize,
-    popularity.
-
-    When the workload's training records are a
-    :class:`~repro.logs.clf.RecordStream` (e.g. a ``CLFSource`` from
-    ``load_workload(..., stream=True)``), mining runs through the
-    one-pass constant-memory fold instead of materializing sessions;
-    the result is field-for-field identical either way.
+    ``profiler`` (optional) records the pass under ``mine.stream``
+    (units = records) and the freeze under ``mine.stream.finish``.
     """
-    params = params or SimulationParams()
-    from ..logs.clf import RecordStream
-    if isinstance(workload.training_records, RecordStream):
-        from ..mining.fold import mine_models_stream
-        return mine_models_stream(
-            workload.training_records, params,
-            predictor_kind=predictor_kind, profiler=profiler,
-        )
-
     def timed(name: str):
         return profiler.phase(name) if profiler is not None else nullcontext()
 
-    with timed("mine.sessionize"):
-        sessions = sessionize(workload.training_records)
-        sequences = page_sequences(sessions, min_length=2)
-    with timed("mine.depgraph"):
-        graph = DependencyGraph(order=params.depgraph_order).train(sequences)
-        if predictor_kind == "depgraph":
-            model: DependencyGraph | PPMPredictor = graph
-        elif predictor_kind == "ppm":
-            from ..mining.ppm import PPMPredictor
-            model = PPMPredictor(order=params.depgraph_order).train(sequences)
-        else:
-            raise ValueError(
-                f"unknown predictor_kind {predictor_kind!r}; "
-                "known: depgraph, ppm"
-            )
-    with timed("mine.bundles"):
-        bundles: BundleTable = BundleMiner().mine_sessions(sessions)
-    with timed("mine.categorize"):
-        try:
-            categorizer: UserCategorizer | None = (
-                UserCategorizer.mine(sequences)
-            )
-        except ValueError:
-            categorizer = None
-    with timed("mine.popularity"):
-        rank_table = RankTable.from_records(workload.training_records)
+    fold = StreamingModelFold(params, predictor_kind=predictor_kind)
+    records = workload.training_records
+    with timed("mine.stream"):
+        if not isinstance(records, CLFSource):
+            records = sorted(records, key=attrgetter("timestamp"))
+        fold.add_records(records)
+    with timed("mine.stream.finish"):
+        models = fold.finish()
     if profiler is not None:
-        profiler.add_units("mine.sessionize", len(sequences))
-    return MinedModels(
-        graph=graph,
-        model=model,
-        bundles=bundles,
-        categorizer=categorizer,
-        rank_table=rank_table,
-        num_sessions=len(sessions),
-        num_sequences=len(sequences),
-        predictor_kind=predictor_kind,
-    )
+        profiler.add_units("mine.stream", fold.records_seen)
+    return models
 
 
 def mine_components(

@@ -4,12 +4,10 @@ from .clf import (
     CLFParseError,
     CLFSource,
     ParseStats,
-    RecordStream,
     format_line,
     iter_log,
     parse_line,
     parse_lines,
-    read_log,
     write_log,
 )
 from .records import LogRecord, Request, Trace
@@ -53,9 +51,8 @@ from .workloads import (
 )
 
 __all__ = [
-    "CLFParseError", "CLFSource", "ParseStats", "RecordStream",
-    "format_line", "iter_log", "parse_line", "parse_lines",
-    "read_log", "write_log",
+    "CLFParseError", "CLFSource", "ParseStats",
+    "format_line", "iter_log", "parse_line", "parse_lines", "write_log",
     "LogRecord", "Request", "Trace",
     "RequestSource", "ScaledRequestSource", "SidecarRequestSource",
     "TraceSummary",

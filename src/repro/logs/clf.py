@@ -20,10 +20,11 @@ Three properties the rest of the pipeline depends on:
 * **observable loss** — lenient parsing (``strict=False``) never drops a
   malformed line silently: every call can account for dropped lines via
   :class:`ParseStats` or an ``on_drop`` callback;
-* **constant memory** — :func:`iter_log` / :class:`CLFSource` stream a
-  log file record by record (gzip-aware), never materializing it, which
-  is what lets the sessionizer and the miners run one-pass on
-  WorldCup'98-class traces.
+* **one reader** — :func:`iter_log` / :class:`CLFSource` stream a log
+  file record by record, never materializing it, which is what lets
+  the sessionizer and the miners run one-pass on WorldCup'98-class
+  traces.  Every file reader goes through them, so every one reads
+  ``.gz`` logs and replaces undecodable bytes instead of failing.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ __all__ = [
     "parse_line",
     "format_line",
     "parse_lines",
-    "read_log",
     "write_log",
     "iter_log",
-    "RecordStream",
     "CLFSource",
 ]
 
@@ -317,16 +316,6 @@ def parse_lines(
         yield rec
 
 
-def read_log(
-    fp: TextIO,
-    *,
-    strict: bool = True,
-    stats: ParseStats | None = None,
-) -> list[LogRecord]:
-    """Read an opened log file into a list of records."""
-    return list(parse_lines(fp, strict=strict, stats=stats))
-
-
 def write_log(fp: TextIO, records: Iterable[LogRecord]) -> int:
     """Write records as CLF lines; returns the number of lines written."""
     n = 0
@@ -360,22 +349,7 @@ def iter_log(
         yield from parse_lines(fp, strict=strict, stats=stats)
 
 
-class RecordStream:
-    """Marker base for re-iterable, generator-backed record sources.
-
-    Consumers that would otherwise buffer a ``list[LogRecord]`` (the
-    miners, the model-cache fingerprint) can iterate a
-    :class:`RecordStream` any number of times; each ``iter()`` is a
-    fresh pass over the backing store.  :func:`repro.core.system.mine_models`
-    dispatches to the one-pass streaming fold when the training records
-    are a stream instead of a list.
-    """
-
-    def __iter__(self) -> Iterator[LogRecord]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class CLFSource(RecordStream):
+class CLFSource:
     """A re-iterable, constant-memory view of a CLF file on disk.
 
     Each iteration re-opens the file and re-parses it lazily; ``stats``

@@ -23,7 +23,7 @@ import json
 import logging
 from pathlib import Path
 
-from .clf import CLFSource, ParseStats, read_log, write_log
+from .clf import CLFSource, write_log
 from .records import LogRecord, Trace
 from .replay import (
     SidecarRequestSource,
@@ -182,9 +182,12 @@ def _load_trace_meta(
     return Trace(requests, name=name)
 
 
-def _warn_drops(stats: ParseStats, path: Path) -> None:
-    if stats.dropped:
-        logger.warning("%s: %s", path, stats.summary())
+def _materialize(source: CLFSource) -> list[LogRecord]:
+    """Materialize one pass of ``source``, logging any dropped lines."""
+    records = list(source)
+    if source.stats.dropped:
+        logger.warning("%s: %s", source.path, source.stats.summary())
+    return records
 
 
 def load_workload(
@@ -204,24 +207,27 @@ def load_workload(
     and flags come from extension heuristics; a corrupt or stale sidecar
     logs a warning and falls back the same way.
 
-    ``stream=True`` keeps the workload lazy end to end: the training log
-    becomes a re-iterable :class:`~repro.logs.clf.CLFSource` (mining runs
-    one-pass via :func:`repro.mining.fold.mine_models_stream`) and the
-    evaluation trace a :class:`~repro.logs.replay.SidecarRequestSource`
-    streamed straight into the simulator's arrival pump — a full replay
+    Both logs are read through :class:`~repro.logs.clf.CLFSource`, which
+    replaces undecodable bytes instead of failing, so materialized and
+    streamed loads read the same records.  ``stream=True`` keeps the
+    workload lazy end to end: the training log stays a re-iterable
+    ``CLFSource`` (which :func:`~repro.core.system.mine_models` folds
+    straight off disk) and the evaluation trace becomes a
+    :class:`~repro.logs.replay.SidecarRequestSource` streamed straight
+    into the simulator's arrival pump — a full replay
     never materializes the requests, and produces bit-identical results
     to the materialized path.  Streamed evaluation requires the sidecar
     (only it preserves exact arrivals and connection structure); when
     the sidecar is unusable the evaluation trace is materialized via the
-    CLF heuristics with a WARNING, same as the batch path.
+    CLF heuristics with a WARNING, same as a materialized load.
 
     ``sample_rate`` applies deterministic per-client sampling
     (:class:`~repro.logs.sampling.ClientSampler`, seeded by
     ``sample_seed``) to *both* logs: a client's whole session stream is
     kept or dropped, so mined models and replays stay structurally
-    representative, and batch and streamed loads of the same sampled
-    workload stay bit-identical.  Raises ``ValueError`` if sampling
-    leaves an empty evaluation trace.
+    representative, and materialized and streamed loads of the same
+    sampled workload stay bit-identical.  Raises ``ValueError`` if
+    sampling leaves an empty evaluation trace.
 
     Malformed log lines are never silently discarded: drop counts (with
     samples) are logged at WARNING level on the materialized paths, and
@@ -233,18 +239,12 @@ def load_workload(
         ClientSampler(sample_rate, sample_seed)
         if sample_rate is not None else None
     )
-    training_path = directory / "training.log"
-    if stream:
-        training: "list[LogRecord] | CLFSource" = CLFSource(
-            training_path, sample_rate=sample_rate, sample_seed=sample_seed,
-        )
-    else:
-        stats = ParseStats()
-        with training_path.open() as fp:
-            training = read_log(fp, strict=False, stats=stats)
-        _warn_drops(stats, training_path)
-        if sampler is not None:
-            training = list(sampler.sample_records(training))
+    training: "list[LogRecord] | CLFSource" = CLFSource(
+        directory / "training.log",
+        sample_rate=sample_rate, sample_seed=sample_seed,
+    )
+    if not stream:
+        training = _materialize(training)
 
     meta_path = directory / TRACE_META_NAME
     trace_name = f"{name or site.name}-eval"
@@ -272,13 +272,10 @@ def load_workload(
                 "materializing the heuristic trace instead",
                 directory / "access.log",
             )
-        access_path = directory / "access.log"
-        stats = ParseStats()
-        with access_path.open() as fp:
-            eval_records = read_log(fp, strict=False, stats=stats)
-        _warn_drops(stats, access_path)
-        if sampler is not None:
-            eval_records = list(sampler.sample_records(eval_records))
+        eval_records = _materialize(CLFSource(
+            directory / "access.log",
+            sample_rate=sample_rate, sample_seed=sample_seed,
+        ))
         if not eval_records:
             raise ValueError(f"no evaluation records in {directory}")
         trace = trace_from_records(eval_records, name=trace_name)

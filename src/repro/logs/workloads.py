@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .clf import RecordStream
+from .clf import CLFSource
 from .records import LogRecord, Trace
 from .replay import RequestSource
 from .sessions import trace_from_records
@@ -46,8 +46,8 @@ class Workload:
 
     ``training_records`` is usually a materialized list; workloads loaded
     with ``load_workload(..., stream=True)`` carry a re-iterable
-    :class:`~repro.logs.clf.RecordStream` instead, and mining then runs
-    in one constant-memory pass.  Likewise ``trace`` is usually a
+    :class:`~repro.logs.clf.CLFSource` instead, which mining folds
+    straight off disk in constant memory.  Likewise ``trace`` is usually a
     materialized :class:`Trace` but may be a lazy re-iterable
     :class:`~repro.logs.replay.RequestSource` (streamed loads), which
     the simulator replays bit-identically without holding the requests.
@@ -55,7 +55,7 @@ class Workload:
 
     name: str
     site: Website
-    training_records: Sequence[LogRecord] | RecordStream
+    training_records: Sequence[LogRecord] | CLFSource
     trace: Trace | RequestSource
 
     @property

@@ -11,12 +11,7 @@ from .categorize import (
 )
 from .depgraph import DependencyGraph, Prediction
 from .evaluation import NextPagePredictor, PredictorReport, evaluate_predictor
-from .fold import (
-    StreamingModelFold,
-    mine_models_stream,
-    models_equal,
-    models_fingerprint,
-)
+from .fold import StreamingModelFold, models_equal, models_fingerprint
 from .modelcache import ModelCache, cached_mine_models, mining_fingerprint
 from .popularity import PopularityTracker, RankTable
 from .ppm import PPMPredictor
@@ -32,8 +27,7 @@ __all__ = [
     "UserCategorizer",
     "DependencyGraph", "Prediction",
     "NextPagePredictor", "PredictorReport", "evaluate_predictor",
-    "StreamingModelFold", "mine_models_stream",
-    "models_equal", "models_fingerprint",
+    "StreamingModelFold", "models_equal", "models_fingerprint",
     "ModelCache", "cached_mine_models", "mining_fingerprint",
     "PopularityTracker", "RankTable",
     "PPMPredictor",

@@ -123,12 +123,18 @@ class BundleAccumulator:
         self._page_views: Counter[str] = Counter()
         self._attach: Counter[tuple[str, str]] = Counter()
 
-    def add_session(self, sess: Session) -> None:
-        """Fold one session's page/embedded-object structure in."""
+    def add_session(self, sess: Session) -> list[str]:
+        """Fold one session's page/embedded-object structure in.
+
+        Returns the session's main-page paths, the same list as
+        :meth:`Session.page_paths`, so callers need not classify every
+        path a second time.
+        """
         attach_window = self.miner.attach_window
         current_page: str | None = None
         page_time = 0.0
         seen_for_page: set[str] = set()
+        pages: list[str] = []
         for rec in sess.records:
             if looks_embedded(rec.path):
                 if (
@@ -143,6 +149,8 @@ class BundleAccumulator:
                 page_time = rec.timestamp
                 seen_for_page = set()
                 self._page_views[rec.path] += 1
+                pages.append(rec.path)
+        return pages
 
     def finish(self) -> BundleTable:
         """Resolve owners and thresholds into the final table."""

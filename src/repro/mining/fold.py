@@ -1,10 +1,8 @@
-"""One-pass streaming mining: records in, :class:`MinedModels` out.
+"""The offline miner: records in, :class:`MinedModels` out, in one pass.
 
-The batch pipeline (:func:`repro.core.system.mine_models`) buckets the
-whole training log per client, sorts, then hands complete session lists
-to each miner — O(trace) resident at every stage, the real ceiling on
-WorldCup'98-class logs (10^8-10^9 requests).  This module folds the same
-models out of a single forward pass:
+PRORD's offline stage (§3) is one pass over the server's web log, and
+so is this module; :func:`repro.core.system.mine_models` is a thin
+driver around it:
 
 * records stream through a :class:`~repro.logs.sessions.StreamSessionizer`
   that retires a session the moment it goes idle past the timeout;
@@ -12,17 +10,17 @@ models out of a single forward pass:
   miners — :meth:`DependencyGraph.add_sequence`,
   :class:`~repro.mining.bundles.BundleAccumulator`,
   :class:`~repro.mining.categorize.CategoryAccumulator` — and dropped;
-* popularity counts fold per record (the batch path counts records, not
-  sessions, so the stream must too).
+* popularity counts fold per record (:meth:`RankTable.from_records`
+  counts records, not sessions, so the fold does too).
 
 Resident memory is the open-session window plus the mined models
-themselves, never the trace.  The result is **equivalent field-for-field**
-to the batch path: every miner's final state is a set of counters whose
-values are feed-order-independent, and the thresholds/tie-breaks applied
-at :meth:`StreamingModelFold.finish` are the batch ones.
+themselves, never the trace.  Every miner's final state is a set of
+counters whose values do not depend on feed order, and the thresholds
+and tie-breaks are applied once, at :meth:`StreamingModelFold.finish`.
 :func:`models_fingerprint` canonicalizes a :class:`MinedModels` into a
-stable digest so the equivalence is checkable across processes (the
-differential battery and the BENCH_memory harness both do).
+stable digest, so models can be compared across processes; the
+committed report oracle (``tests/report_oracle.json``) pins the
+fingerprints of every workload preset.
 """
 
 from __future__ import annotations
@@ -41,11 +39,9 @@ from .popularity import RankTable
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.config import SimulationParams
     from ..core.system import MinedModels
-    from ..obs.profiler import PhaseProfiler
 
 __all__ = [
     "StreamingModelFold",
-    "mine_models_stream",
     "models_fingerprint",
     "models_equal",
 ]
@@ -111,8 +107,7 @@ class StreamingModelFold:
 
     def _fold_session(self, sess) -> None:
         self._num_sessions += 1
-        self._bundles.add_session(sess)
-        seq = sess.page_paths()
+        seq = self._bundles.add_session(sess)
         # Same cut as page_sequences(sessions, min_length=2).
         if len(seq) >= 2:
             self._num_sequences += 1
@@ -127,7 +122,7 @@ class StreamingModelFold:
             raise RuntimeError("fold already finished")
         self._records_seen += 1
         if rec.is_success():
-            # Batch counts popularity over records, not sessions.
+            # Popularity counts records, not sessions.
             self._popularity[rec.path] += 1
         for sess in self._sessionizer.feed(rec):
             self._fold_session(sess)
@@ -164,40 +159,6 @@ class StreamingModelFold:
         )
 
 
-def mine_models_stream(
-    records: Iterable[LogRecord],
-    params: "SimulationParams | None" = None,
-    *,
-    predictor_kind: str = "depgraph",
-    timeout: float = DEFAULT_SESSION_TIMEOUT,
-    profiler: "PhaseProfiler | None" = None,
-) -> "MinedModels":
-    """One-pass, constant-memory equivalent of
-    :func:`repro.core.system.mine_models`.
-
-    ``records`` may be any time-ordered iterable — typically a
-    :class:`~repro.logs.clf.CLFSource` over a log file, which is never
-    materialized.  The profiler (optional) records the whole pass under
-    ``mine.stream`` (units = records) and the freeze under
-    ``mine.stream.finish``, mirroring the batch ``mine.*`` phases.
-    """
-    from contextlib import nullcontext
-
-    def timed(name: str):
-        return profiler.phase(name) if profiler is not None else nullcontext()
-
-    fold = StreamingModelFold(
-        params, predictor_kind=predictor_kind, timeout=timeout
-    )
-    with timed("mine.stream"):
-        fold.add_records(records)
-    with timed("mine.stream.finish"):
-        models = fold.finish()
-    if profiler is not None:
-        profiler.add_units("mine.stream", fold.records_seen)
-    return models
-
-
 # -- equivalence checking -----------------------------------------------------
 
 
@@ -218,11 +179,11 @@ def _counts_items(counts: dict) -> list:
 def models_fingerprint(models: "MinedModels") -> str:
     """A canonical content digest of a :class:`MinedModels`.
 
-    Two models mined from the same log — batch or streamed, any feed
-    order — hash identically; any semantic difference (one count, one
-    weight, one edge) changes the digest.  Dict/set iteration order is
-    canonicalized away, so this is the right equality for proving
-    streamed == batch across process boundaries.
+    Two models mined from the same sessions, in any feed order, hash
+    identically; any semantic difference (one count, one weight, one
+    edge) changes the digest.  Dict/set iteration order is
+    canonicalized away, so this is the right equality across process
+    boundaries and against the committed oracle.
     """
     h = hashlib.sha256()
     _hash_update(h, "prord-mined-models-fp/v1", models.predictor_kind,

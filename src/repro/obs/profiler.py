@@ -52,8 +52,8 @@ class PhaseProfiler:
     Use as a context manager factory::
 
         profiler = PhaseProfiler()
-        with profiler.phase("mine.depgraph"):
-            graph = DependencyGraph(...).train(sequences)
+        with profiler.phase("mine.stream"):
+            fold.add_records(records)
         profiler.add_units("simulate", cluster.sim.events_processed)
     """
 

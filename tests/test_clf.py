@@ -16,7 +16,6 @@ from repro.logs import (
     iter_log,
     parse_line,
     parse_lines,
-    read_log,
     write_log,
 )
 
@@ -165,7 +164,7 @@ class TestStreams:
         buf = io.StringIO()
         assert write_log(buf, recs) == 3
         buf.seek(0)
-        assert read_log(buf) == recs
+        assert list(parse_lines(buf)) == recs
 
 
 class TestParseStats:
@@ -210,7 +209,7 @@ class TestParseStats:
     def test_read_log_threads_stats(self):
         stats = ParseStats()
         buf = io.StringIO(SAMPLE + "\nnot clf\n")
-        recs = read_log(buf, strict=False, stats=stats)
+        recs = list(parse_lines(buf, strict=False, stats=stats))
         assert len(recs) == 1
         assert stats.dropped == 1
 

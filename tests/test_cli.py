@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import gzip
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -63,6 +65,59 @@ class TestMineCommand:
         bad.write_text("this is not a log\n")
         with pytest.raises(SystemExit, match="no parsable"):
             main(["mine", str(bad)])
+
+    @pytest.mark.parametrize("mode", [[], ["--stream"]],
+                             ids=["collected", "stream"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--session-timeout", "0"),
+        ("--session-timeout", "-1"),
+        ("--session-timeout", "nan"),
+        ("--order", "0"),
+        ("--top", "0"),
+        ("--top", "-1"),
+    ])
+    def test_bad_argument_rejected_before_reading(self, tmp_path, flag,
+                                                   value, mode):
+        # The log does not exist: reading it would raise FileNotFoundError.
+        log = str(tmp_path / "never-read.log")
+        with pytest.raises(SystemExit, match=f"^error: {flag} must be"):
+            main(["mine", log, flag, value, *mode])
+
+    def test_undecodable_byte_is_replaced(self, workload_dir, tmp_path,
+                                          capsys):
+        lines = (workload_dir / "training.log").read_bytes().splitlines()
+        lines[1] += b' "-" "caf\xe9"'
+        log = tmp_path / "latin1.log"
+        log.write_bytes(b"\n".join(lines) + b"\n")
+        for extra in ([], ["--stream"]):
+            assert main(["mine", str(log), *extra]) == 0
+            assert f"log: {len(lines)} requests" in capsys.readouterr().out
+
+
+class TestGzipLogs:
+    @pytest.fixture()
+    def gz_dir(self, workload_dir, tmp_path):
+        for name in ("training.log", "access.log"):
+            with gzip.open(tmp_path / f"{name}.gz", "wb") as fp:
+                fp.write((workload_dir / name).read_bytes())
+        return tmp_path
+
+    def test_mine_reads_gzip(self, workload_dir, gz_dir, capsys):
+        assert main(["mine", str(workload_dir / "training.log")]) == 0
+        plain = capsys.readouterr().out
+        assert main(["mine", str(gz_dir / "training.log.gz")]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_simulate_reads_gzip(self, workload_dir, gz_dir, capsys):
+        args = ["--policy", "lard", "--backends", "4", "--cache-mb", "1"]
+        assert main(["simulate", str(workload_dir / "access.log"),
+                     *args]) == 0
+        plain = capsys.readouterr().out
+        assert main(["simulate", str(gz_dir / "access.log.gz"), *args]) == 0
+        gz = capsys.readouterr().out
+        assert "completed" in gz
+        # The run is named after the log file.
+        assert gz.replace("access.log.gz", "access.log") == plain
 
 
 class TestSimulateCommand:

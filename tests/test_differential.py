@@ -52,12 +52,6 @@ class TestIndividualChecks:
         assert check.passed, check.detail
         assert "3 cells identical" in check.detail
 
-    def test_streamed_mining_matches_batch(self, workload):
-        from repro.sim.differential import check_streamed_mining
-        check = check_streamed_mining(workload)
-        assert check.passed, check.detail
-        assert "batch == stream" in check.detail
-
     def test_streamed_replay_matches_materialized(self):
         from repro.sim.differential import check_streamed_replay
         check = check_streamed_replay(
@@ -81,11 +75,10 @@ class TestSuite:
         assert isinstance(report, DifferentialReport)
         assert report.passed, report.format()
         names = [c.name for c in report.checks]
-        # degenerate + streamed mining + streamed replay +
+        # degenerate + streamed replay +
         # (determinism, audit, telemetry) per policy + grid.
         assert names == [
             "degenerate-prord",
-            "streamed-mining",
             "streamed-replay",
             "determinism[lard]", "audit-transparency[lard]",
             "telemetry-transparency[lard]",

@@ -58,7 +58,7 @@ class TestTransparency:
         result = run_policy(workload, "prord", telemetry=True)
         phases = dict(result.telemetry.phase_timings())
         assert "simulate" in phases
-        assert "mine.depgraph" in phases
+        assert "mine.stream" in phases
         assert "replicate" in phases
         assert phases["simulate"].units == \
             result.telemetry.events_processed

@@ -340,6 +340,20 @@ class TestDropAccounting:
             load_workload(out)
         assert caplog.text == ""
 
+    def test_undecodable_byte_loads_alike_with_and_without_stream(
+            self, tmp_path):
+        w = synthetic_workload(scale=0.02)
+        out = save_workload(w, tmp_path / "wl")
+        log = out / "training.log"
+        lines = log.read_bytes().splitlines()
+        lines[1] += b' "-" "caf\xe9"'  # a latin-1 user agent
+        log.write_bytes(b"\n".join(lines) + b"\n")
+        materialized = load_workload(out).training_records
+        streamed = list(load_workload(out, stream=True).training_records)
+        assert materialized == streamed
+        assert len(materialized) == len(w.training_records)
+        assert materialized[1].agent == "caf\ufffd"
+
     def test_stream_load_returns_source_with_stats(self, tmp_path):
         from repro.logs import CLFSource
         w = synthetic_workload(scale=0.02)

@@ -1,7 +1,7 @@
 """Property tests: streamed replay ≡ materialized replay.
 
-PR 5 proved streamed *mining* equals batch mining; these are the same
-proof obligations for the evaluation side.  A workload whose trace is a
+The evaluation side's counterpart of one-pass mining: a workload whose
+trace is a
 lazy :class:`SidecarRequestSource` must replay — through every policy,
 every arrival window, scaled or sampled — into a result field-for-field
 identical to the materialized :class:`Trace`, while the simulator never

@@ -1,24 +1,28 @@
-"""End-to-end tests of the constant-memory streaming mining pipeline.
+"""End-to-end tests of the one-pass mining fold.
 
-The load-bearing claim: mining a workload through the one-pass fold
-(``CLFSource`` → ``StreamSessionizer`` → incremental miners) produces a
-:class:`MinedModels` that is field-for-field identical to the batch
-pipeline, on every workload preset and through every entry point
-(``mine_models_stream``, the ``mine_models`` dispatch, ``run_policy``
-over ``load_workload(..., stream=True)``, and the CLI).
+``mine_models`` folds the training log through ``StreamSessionizer``
+and the incremental miners whether the records are an in-memory list or
+a lazy ``CLFSource``.  The committed report oracle pins what the fold
+mines; these tests check that every entry point (``mine_models`` on a
+list or a ``CLFSource``, ``run_policy`` over ``load_workload(...,
+stream=True)``, and the CLI) mines the same models, and that record
+order is handled: an in-memory list is sorted, a stream must be in time
+order.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.system import mine_models, run_policy
 from repro.logs import CLFSource, make_workload
+from repro.logs.clf import write_log
 from repro.logs.store import load_workload, save_workload
+from repro.logs.workloads import Workload
 from repro.mining.fold import (
     StreamingModelFold,
-    mine_models_stream,
     models_equal,
     models_fingerprint,
 )
@@ -35,24 +39,21 @@ def workload(request):
     return make_workload(request.param, scale=PRESET_SCALES[request.param])
 
 
-class TestFoldEquivalence:
-    def test_stream_equals_batch(self, workload):
-        batch = mine_models(workload)
-        stream = mine_models_stream(iter(workload.training_records))
-        assert models_equal(batch, stream)
-        # Spot-check actual fields, not just the fingerprint.
-        assert stream.num_sessions == batch.num_sessions > 0
-        assert stream.num_sequences == batch.num_sequences > 0
-        assert stream.bundles.as_dict() == batch.bundles.as_dict()
-        assert sorted(stream.rank_table.items()) == \
-            sorted(batch.rank_table.items())
+def _with_training(workload, records) -> Workload:
+    return Workload(name=workload.name, site=workload.site,
+                    training_records=records, trace=workload.trace)
 
+
+def _write_reversed(records, path):
+    with path.open("w") as fp:
+        write_log(fp, reversed(records))
+    return path
+
+
+class TestFoldEquivalence:
     def test_ppm_kind(self, workload):
-        batch = mine_models(workload, predictor_kind="ppm")
-        stream = mine_models_stream(iter(workload.training_records),
-                                    predictor_kind="ppm")
-        assert models_equal(batch, stream)
-        assert not models_equal(batch, mine_models(workload))
+        ppm = mine_models(workload, predictor_kind="ppm")
+        assert not models_equal(ppm, mine_models(workload))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="predictor_kind"):
@@ -66,6 +67,19 @@ class TestFoldEquivalence:
             fold.finish()
         with pytest.raises(RuntimeError, match="finished"):
             fold.add_record(workload.training_records[0])
+
+    def test_unsorted_list_mines_like_sorted(self, workload):
+        shuffled = list(workload.training_records)
+        random.Random(7).shuffle(shuffled)
+        assert models_fingerprint(
+            mine_models(_with_training(workload, shuffled))
+        ) == models_fingerprint(mine_models(workload))
+
+    def test_out_of_order_stream_rejected(self, workload, tmp_path):
+        log = _write_reversed(workload.training_records,
+                              tmp_path / "training.log")
+        with pytest.raises(ValueError, match="time order"):
+            mine_models(_with_training(workload, CLFSource(log)))
 
     def test_fingerprint_sensitivity(self, workload):
         models = mine_models(workload)
@@ -143,7 +157,6 @@ class TestCLIStreaming:
         graph_line = next(l for l in batch_out.splitlines()
                           if l.startswith("dependency graph"))
         assert graph_line in stream_out
-        assert "(streamed)" in stream_out
 
     def test_mine_notes_dropped_lines(self, workload_dir, capsys):
         log = workload_dir + "/training.log"
@@ -154,6 +167,14 @@ class TestCLIStreaming:
             out = capsys.readouterr().out
             assert "malformed line(s) dropped" in out
             assert "this is not clf" in out
+
+    def test_mine_out_of_order_log(self, tmp_path, capsys):
+        records = make_workload("synthetic", scale=0.02).training_records
+        log = _write_reversed(records, tmp_path / "reversed.log")
+        assert cli_main(["mine", str(log)]) == 0
+        assert "dependency graph" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="sort it or drop --stream"):
+            cli_main(["mine", str(log), "--stream"])
 
     def test_replay_stream_and_batch_agree(self, workload_dir, capsys):
         assert cli_main(["replay", workload_dir, "--policy", "lard"]) == 0
