@@ -16,6 +16,7 @@ input"; this CLI exposes the same workflow::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -60,6 +61,8 @@ def _load_records(path: Path) -> list[LogRecord]:
 
 def _workload_from_log(path: Path, train_fraction: float) -> Workload:
     """Split a raw log into a training prefix and an evaluation trace."""
+    if not 0 < train_fraction < 1:
+        raise SystemExit("error: --train-fraction must be in (0, 1)")
     records = _load_records(path)
     records.sort(key=lambda r: r.timestamp)
     cut = max(1, int(len(records) * train_fraction))
@@ -167,8 +170,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _params_from_args(args: argparse.Namespace) -> SimulationParams:
+    """The cluster the options ask for.  Commands build it before
+    reading any input, so an out-of-range option fails first."""
+    if args.backends < 1:
+        raise SystemExit("error: --backends must be >= 1")
     kwargs = {"n_backends": args.backends}
     if args.cache_mb is not None:
+        if not 0 <= args.cache_mb < math.inf:
+            raise SystemExit("error: --cache-mb must be finite and >= 0")
         kwargs["cache_bytes"] = int(args.cache_mb * (1 << 20))
     return SimulationParams(**kwargs)
 
@@ -191,8 +200,8 @@ def _print_result(result) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    workload = _workload_from_log(Path(args.logfile), args.train_fraction)
     params = _params_from_args(args)
+    workload = _workload_from_log(Path(args.logfile), args.train_fraction)
     result = run_policy(workload, args.policy, params, cache_fraction=None,
                         audit=args.audit)
     _print_result(result)
@@ -211,6 +220,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     replays a deterministic per-client subsample of the workload.
     """
     from .logs.store import load_workload
+    params = _params_from_args(args)
+    if not 0 < args.cache_fraction <= 2:
+        raise SystemExit("error: --cache-fraction must be in (0, 2]")
     workload_dir = Path(args.workload_dir)
     try:
         workload = load_workload(
@@ -224,7 +236,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    params = _params_from_args(args)
     cache_fraction = None if args.cache_mb is not None else args.cache_fraction
     result = run_policy(workload, args.policy, params,
                         cache_fraction=cache_fraction, audit=args.audit)
@@ -242,8 +253,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    workload = _workload_from_log(Path(args.logfile), args.train_fraction)
     params = _params_from_args(args)
+    workload = _workload_from_log(Path(args.logfile), args.train_fraction)
     for policy in args.policies:
         result = run_policy(workload, policy, params, cache_fraction=None,
                             audit=args.audit)
@@ -315,8 +326,12 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     from .logs.workloads import make_workload
     from .sim.closedloop import run_closed_loop
     from .logs.synthetic import TrafficSpec
-    workload = make_workload(args.preset, scale=0.05)
     params = _params_from_args(args)
+    if not 0 < args.duration < math.inf:
+        raise SystemExit("error: --duration must be finite and > 0")
+    if min(args.concurrency) < 1:
+        raise SystemExit("error: --concurrency must be >= 1")
+    workload = make_workload(args.preset, scale=0.05)
     if args.cache_mb is None:
         params = params.with_overrides(cache_bytes=int(
             0.3 * workload.site_bytes / params.n_backends))

@@ -12,8 +12,7 @@ from .config import KB, MB, SimulationParams
 _SYSTEM_EXPORTS = (
     "POLICY_NAMES", "MINING_POLICY_NAMES", "MinedModels", "MiningResult",
     "PRORDSystem", "build_policy", "cache_bytes_for_fraction",
-    "mine_components", "mine_models", "offered_rps",
-    "run_policy", "scale_to_offered_load",
+    "mine_components", "mine_models", "run_policy",
 )
 
 __all__ = ["KB", "MB", "SimulationParams", *_SYSTEM_EXPORTS]

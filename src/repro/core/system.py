@@ -23,7 +23,6 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from ..logs.clf import CLFSource
-from ..logs.records import Trace
 from ..logs.workloads import Workload
 from ..mining.bundles import BundleTable
 from ..mining.categorize import UserCategorizer
@@ -42,7 +41,6 @@ from ..sim.cluster import ClusterSimulator, SimulationResult
 from .config import SimulationParams
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..logs.replay import RequestSource
     from ..mining.modelcache import ModelCache
     from ..mining.ppm import PPMPredictor
     from ..obs.profiler import PhaseProfiler
@@ -55,8 +53,6 @@ __all__ = [
     "POLICY_NAMES",
     "MINING_POLICY_NAMES",
     "build_policy",
-    "offered_rps",
-    "scale_to_offered_load",
     "cache_bytes_for_fraction",
     "run_policy",
     "PRORDSystem",
@@ -286,31 +282,6 @@ def build_policy(
     raise ValueError(f"unknown policy {name!r}; known: {POLICY_NAMES}")
 
 
-def offered_rps(trace: "Trace | RequestSource") -> float:
-    """Offered load of a trace (materialized or streamed) in requests
-    per second."""
-    if trace.duration <= 0:
-        return float(len(trace))
-    return len(trace) / trace.duration
-
-
-def scale_to_offered_load(
-    trace: "Trace | RequestSource", target_rps: float
-) -> "Trace | RequestSource":
-    """Compress/stretch a trace so it offers ``target_rps``.
-
-    A materialized :class:`Trace` is rebuilt; a streamed
-    :class:`~repro.logs.replay.RequestSource` gets a lazy scaled view
-    with bit-identical per-arrival arithmetic.
-    """
-    if target_rps <= 0:
-        raise ValueError("target_rps must be positive")
-    current = offered_rps(trace)
-    if current <= 0:
-        return trace
-    return trace.scaled(current / target_rps)
-
-
 def cache_bytes_for_fraction(
     workload: Workload, fraction: float, n_backends: int
 ) -> int:
@@ -339,7 +310,6 @@ def run_policy(
     *,
     mining: MiningResult | None = None,
     cache_fraction: float | None = 0.3,
-    target_rps: float | None = None,
     warmup_fraction: float = 0.1,
     window_s: float | None = None,
     audit: bool = False,
@@ -370,11 +340,13 @@ def run_policy(
     bit-identical because :class:`MinedModels` is a pure function of
     exactly the inputs the cache key hashes.
 
-    When ``workload.trace`` is a lazy
-    :class:`~repro.logs.replay.RequestSource` (from
-    ``load_workload(..., stream=True)``) the whole replay streams —
-    arrivals are pulled through the simulator's bounded lookahead
-    window and the trace is never materialized; the resulting
+    The trace replays at its recorded arrival times; raise offered load
+    by generating the workload at a higher session rate (DESIGN.md §6a,
+    item 9).  Arrivals are pulled through the simulator's bounded
+    lookahead window, so when ``workload.trace`` is a
+    :class:`~repro.logs.replay.SidecarRequestSource` (from
+    ``load_workload(..., stream=True)``) the whole replay streams and
+    the trace is never materialized; the resulting
     :class:`SimulationReport` is field-for-field identical to the
     materialized run (the streamed-replay differential check proves
     it on every preset).
@@ -403,9 +375,6 @@ def run_policy(
     policy, replicator = build_policy(policy_name, mining, params)
     if replicator is not None and profiler is not None:
         replicator.profiler = profiler
-    trace = workload.trace
-    if target_rps is not None:
-        trace = scale_to_offered_load(trace, target_rps)
     future_weights = None
     if params.cache_policy == "gdsf-pred":
         # Yang et al. [20]: future frequency from the offline ranking.
@@ -416,7 +385,7 @@ def run_policy(
             for path, _ in mining.rank_table.items()
         }
     cluster = ClusterSimulator(
-        trace, policy, params,
+        workload.trace, policy, params,
         replicator=replicator, warmup_fraction=warmup_fraction,
         window_s=window_s,
         future_weights=future_weights,
@@ -476,7 +445,6 @@ class PRORDSystem:
         policy_name: str,
         *,
         cache_fraction: float | None = 0.3,
-        target_rps: float | None = None,
         warmup_fraction: float = 0.1,
         window_s: float | None = None,
         audit: bool = False,
@@ -489,7 +457,6 @@ class PRORDSystem:
             self.workload, policy_name, self.params,
             mining=mining,
             cache_fraction=cache_fraction,
-            target_rps=target_rps,
             warmup_fraction=warmup_fraction,
             window_s=window_s,
             audit=audit,

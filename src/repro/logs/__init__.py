@@ -10,13 +10,8 @@ from .clf import (
     parse_lines,
     write_log,
 )
-from .records import LogRecord, Request, Trace
-from .replay import (
-    RequestSource,
-    ScaledRequestSource,
-    SidecarRequestSource,
-    TraceSummary,
-)
+from .records import LogRecord, Request, RequestSource, Trace, TraceSummary
+from .replay import SidecarRequestSource
 from .sampling import ClientSampler, request_client_key
 from .sessions import (
     DEFAULT_SESSION_TIMEOUT,
@@ -54,8 +49,7 @@ __all__ = [
     "CLFParseError", "CLFSource", "ParseStats",
     "format_line", "iter_log", "parse_line", "parse_lines", "write_log",
     "LogRecord", "Request", "Trace",
-    "RequestSource", "ScaledRequestSource", "SidecarRequestSource",
-    "TraceSummary",
+    "RequestSource", "SidecarRequestSource", "TraceSummary",
     "ClientSampler", "request_client_key",
     "DEFAULT_SESSION_TIMEOUT", "Session", "StreamSessionizer",
     "iter_sessions", "looks_dynamic", "looks_embedded",

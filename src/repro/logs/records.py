@@ -8,19 +8,24 @@ Two levels of representation are used throughout:
 * :class:`Request` — one HTTP request as seen by the cluster simulator:
   an arrival time, a persistent-connection identifier, the requested
   path, its size, and bundle metadata (whether the object is embedded in
-  a parent page).  Traces fed to the simulator are time-ordered lists of
-  requests, grouped into persistent connections (HTTP/1.1 sessions).
+  a parent page).  The simulator replays a :class:`RequestSource`: a
+  re-iterable stream of time-ordered requests, grouped into persistent
+  connections (HTTP/1.1 sessions), plus its :class:`TraceSummary`.
+  :class:`Trace` is the in-memory source.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "LogRecord",
     "Request",
+    "TraceSummary",
+    "RequestSource",
     "Trace",
 ]
 
@@ -71,7 +76,7 @@ class LogRecord:
         return 200 <= self.status < 300 or self.status == 304
 
     def with_time(self, timestamp: float) -> "LogRecord":
-        """Return a copy shifted to ``timestamp`` (used by trace rescaling)."""
+        """Return a copy shifted to ``timestamp``."""
         return replace(self, timestamp=timestamp)
 
 
@@ -118,33 +123,131 @@ class Request:
         return not self.is_embedded
 
 
-class Trace:
-    """A time-ordered sequence of :class:`Request` plus the file catalog.
+@dataclass(frozen=True, slots=True)
+class TraceSummary:
+    """Everything the simulator needs about a trace before replaying it.
+
+    All of it is O(catalog + connections) — the constant-memory residue
+    of one pass over the requests, never the requests themselves.
+    """
+
+    #: Number of requests the source yields per iteration.
+    n: int
+    #: First arrival time (``0.0`` for an empty source).
+    start: float
+    #: Last arrival time (``0.0`` for an empty source).
+    last: float
+    #: Max observed size per path.
+    catalog: dict[str, int]
+    #: Requests per connection id (the simulator's close bookkeeping
+    #: needs the full counts up front: a connection closes when its
+    #: *last* request completes, which streaming cannot know locally).
+    connection_counts: Counter
+
+    @property
+    def duration(self) -> float:
+        return self.last - self.start if self.n else 0.0
+
+    @staticmethod
+    def scan(requests: Iterable[Request]) -> "TraceSummary":
+        """Fold a time-ordered request stream into its summary.
+
+        This is the one validation pass every replay input goes
+        through: it raises ``ValueError`` on a non-finite or
+        out-of-order arrival and on a non-positive size, none of which
+        the simulator can replay.
+        """
+        inf = math.inf
+        n = 0
+        start = last = 0.0
+        prev = -inf
+        catalog: dict[str, int] = {}
+        conns: Counter = Counter()
+        for r in requests:
+            arrival = r.arrival
+            if not -inf < arrival < inf:  # NaN fails both comparisons
+                raise ValueError(f"trace arrival is not finite: {arrival}")
+            if arrival < prev:
+                raise ValueError(
+                    "trace requests must be sorted by arrival time: "
+                    f"{arrival} < {prev}"
+                )
+            prev = arrival
+            if n == 0:
+                start = arrival
+            last = arrival
+            n += 1
+            size = r.size
+            if size <= 0:
+                raise ValueError(
+                    f"request size must be positive: {r.path} has {size}"
+                )
+            known = catalog.get(r.path)
+            if known is None or size > known:
+                catalog[r.path] = size
+            conns[r.conn_id] += 1
+        return TraceSummary(n=n, start=start, last=last,
+                            catalog=catalog, connection_counts=conns)
+
+
+class RequestSource:
+    """A re-iterable, length-known stream of time-ordered requests.
+
+    This is the one type the simulator replays.  Subclasses set
+    ``name`` and ``summary`` (a :class:`TraceSummary`, normally built
+    by :meth:`TraceSummary.scan` at construction) and implement
+    ``__iter__``; every iteration must yield the same requests.
+    :class:`Trace` holds them in a list;
+    :class:`~repro.logs.replay.SidecarRequestSource` streams them off
+    disk on every pass.
+    """
+
+    name: str = "stream"
+    summary: TraceSummary
+
+    def __iter__(self) -> Iterator[Request]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self.summary.n
+
+    @property
+    def catalog(self) -> Mapping[str, int]:
+        """Max observed size per path (read-only by convention)."""
+        return self.summary.catalog
+
+    @property
+    def total_bytes(self) -> int:
+        """Sum of distinct file sizes (the website's resident data set)."""
+        return sum(self.summary.catalog.values())
+
+    @property
+    def start(self) -> float:
+        """First arrival time (0 for an empty source)."""
+        return self.summary.start
+
+    @property
+    def duration(self) -> float:
+        """Time span between first and last arrival (0 when empty)."""
+        return self.summary.duration
+
+    def connection_counts(self) -> Counter:
+        """Requests per connection id (a fresh counter each call)."""
+        return Counter(self.summary.connection_counts)
+
+
+class Trace(RequestSource):
+    """The in-memory request source: a list of time-ordered requests.
 
     The catalog maps every path appearing in the trace to its size in
     bytes; policies and the simulator use it to size caches and disk
     transfers without scanning the whole trace.
     """
 
-    def __init__(self, requests: Sequence[Request], name: str = "trace") -> None:
-        reqs = list(requests)
-        for earlier, later in zip(reqs, reqs[1:]):
-            if later.arrival < earlier.arrival:
-                raise ValueError(
-                    "trace requests must be sorted by arrival time: "
-                    f"{later.arrival} < {earlier.arrival}"
-                )
-        self._requests: list[Request] = reqs
+    def __init__(self, requests: Iterable[Request], name: str = "trace") -> None:
+        self._requests: list[Request] = list(requests)
         self.name = name
-        catalog: dict[str, int] = {}
-        for r in reqs:
-            prev = catalog.get(r.path)
-            if prev is None or r.size > prev:
-                catalog[r.path] = r.size
-        self._catalog = catalog
-
-    def __len__(self) -> int:
-        return len(self._requests)
+        self.summary = TraceSummary.scan(self._requests)
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self._requests)
@@ -152,75 +255,6 @@ class Trace:
     def __getitem__(self, idx: int) -> Request:
         return self._requests[idx]
 
-    @property
-    def requests(self) -> Sequence[Request]:
-        """The underlying request list (read-only view by convention)."""
-        return self._requests
-
-    @property
-    def catalog(self) -> Mapping[str, int]:
-        """Mapping of every path in the trace to its size in bytes."""
-        return self._catalog
-
-    @property
-    def total_bytes(self) -> int:
-        """Sum of distinct file sizes (the website's resident data set)."""
-        return sum(self._catalog.values())
-
-    @property
-    def duration(self) -> float:
-        """Time span between first and last arrival (0 for empty traces)."""
-        if not self._requests:
-            return 0.0
-        return self._requests[-1].arrival - self._requests[0].arrival
-
-    @property
-    def start(self) -> float:
-        """First arrival time (0 for empty traces)."""
-        return self._requests[0].arrival if self._requests else 0.0
-
-    def connection_counts(self) -> Counter:
-        """Requests per connection id."""
-        return Counter(r.conn_id for r in self._requests)
-
-    def connection_ids(self) -> list[int]:
-        """Distinct connection ids, in first-appearance order."""
-        seen: dict[int, None] = {}
-        for r in self._requests:
-            seen.setdefault(r.conn_id, None)
-        return list(seen)
-
-    def paths(self) -> list[str]:
-        """Distinct paths, in first-appearance order."""
-        return list(self._catalog)
-
     def head(self, n: int) -> "Trace":
         """A new trace containing only the first ``n`` requests."""
         return Trace(self._requests[:n], name=f"{self.name}[:{n}]")
-
-    def scaled(self, factor: float) -> "Trace":
-        """A new trace with inter-arrival gaps multiplied by ``factor``.
-
-        ``factor < 1`` compresses the trace (higher offered load),
-        ``factor > 1`` stretches it.  Connection/request structure is
-        preserved.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        if not self._requests:
-            return Trace([], name=self.name)
-        t0 = self._requests[0].arrival
-        scaled = [
-            replace(r, arrival=t0 + (r.arrival - t0) * factor)
-            for r in self._requests
-        ]
-        return Trace(scaled, name=f"{self.name}*{factor:g}")
-
-    @staticmethod
-    def merge(traces: Iterable["Trace"], name: str = "merged") -> "Trace":
-        """Merge traces by arrival time (connection ids must not collide)."""
-        all_reqs: list[Request] = []
-        for t in traces:
-            all_reqs.extend(t.requests)
-        all_reqs.sort(key=lambda r: (r.arrival, r.conn_id))
-        return Trace(all_reqs, name=name)

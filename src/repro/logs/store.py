@@ -7,7 +7,8 @@ A saved workload is a directory of plain files:
 * ``access.log`` — the evaluation trace re-emitted as CLF;
 * ``trace.meta.jsonl`` — sidecar with what CLF cannot carry: exact
   sub-second arrivals, connection ids, and the generator-assigned
-  ``is_embedded``/``dynamic``/``parent`` flags per request.
+  ``is_embedded``/``dynamic``/``parent`` flags per request.  Its format,
+  writer and reader live in :mod:`repro.logs.replay`.
 
 ``access.log`` stays the public, tool-friendly artifact; the sidecar is
 what makes ``save_workload → load_workload`` faithful.  Without it (real
@@ -24,12 +25,8 @@ import logging
 from pathlib import Path
 
 from .clf import CLFSource, write_log
-from .records import LogRecord, Trace
-from .replay import (
-    SidecarRequestSource,
-    read_sidecar_header,
-    request_from_row,
-)
+from .records import LogRecord, RequestSource, Trace
+from .replay import SidecarRequestSource, read_sidecar, write_sidecar
 from .sampling import ClientSampler
 from .sessions import trace_from_records
 from .site import Category, EmbeddedObject, Page, Website
@@ -47,7 +44,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_FORMAT_VERSION = 1
+#: ``site.json`` format version (the trace sidecar versions itself in
+#: :mod:`repro.logs.replay`).
+_SITE_FORMAT_VERSION = 1
 
 #: Name of the trace-metadata sidecar inside a workload directory.
 TRACE_META_NAME = "trace.meta.jsonl"
@@ -56,7 +55,7 @@ TRACE_META_NAME = "trace.meta.jsonl"
 def site_to_dict(site: Website) -> dict:
     """Serialize a website model to plain JSON-able data."""
     return {
-        "format_version": _FORMAT_VERSION,
+        "format_version": _SITE_FORMAT_VERSION,
         "name": site.name,
         "pages": [
             {
@@ -84,7 +83,7 @@ def site_to_dict(site: Website) -> dict:
 def site_from_dict(data: dict) -> Website:
     """Rebuild a website model from :func:`site_to_dict` output."""
     version = data.get("format_version")
-    if version != _FORMAT_VERSION:
+    if version != _SITE_FORMAT_VERSION:
         raise ValueError(f"unsupported site format version: {version!r}")
     pages = [
         Page(
@@ -134,52 +133,8 @@ def save_workload(workload: Workload, directory: Path | str) -> Path:
     ]
     with (directory / "access.log").open("w") as fp:
         write_log(fp, eval_records)
-    _save_trace_meta(workload.trace, directory / TRACE_META_NAME)
+    write_sidecar(workload.trace, directory / TRACE_META_NAME)
     return directory
-
-
-def _save_trace_meta(trace: Trace, path: Path) -> None:
-    """Write the JSONL sidecar that makes the trace reconstructible."""
-    with path.open("w") as fp:
-        header = {
-            "format_version": _FORMAT_VERSION,
-            "kind": "prord-trace-meta",
-            "name": trace.name,
-            "n": len(trace),
-        }
-        fp.write(json.dumps(header) + "\n")
-        for r in trace:
-            row = {
-                "a": r.arrival,
-                "c": r.conn_id,
-                "p": r.path,
-                "s": r.size,
-                "e": r.is_embedded,
-                "d": r.dynamic,
-                "pa": r.parent,
-                "cl": r.client,
-            }
-            fp.write(json.dumps(row) + "\n")
-
-
-def _load_trace_meta(
-    path: Path,
-    *,
-    name: str,
-    sampler: ClientSampler | None = None,
-) -> Trace:
-    """Rebuild the exact trace from the sidecar (raises on any defect)."""
-    with path.open() as fp:
-        header = read_sidecar_header(fp.readline())
-        requests = [request_from_row(row) for row in map(json.loads, fp)]
-    if len(requests) != header["n"]:
-        raise ValueError(
-            f"trace sidecar truncated: header says {header['n']} requests, "
-            f"found {len(requests)}"
-        )
-    if sampler is not None:
-        requests = list(sampler.sample_requests(requests))
-    return Trace(requests, name=name)
 
 
 def _materialize(source: CLFSource) -> list[LogRecord]:
@@ -202,21 +157,26 @@ def load_workload(
 
     With the ``trace.meta.jsonl`` sidecar present the evaluation trace is
     reconstructed exactly — sub-second arrivals, connection structure,
-    and embedded/dynamic flags all survive the round trip.  Without it
-    (real logs, older saves) arrivals carry CLF's whole-second resolution
-    and flags come from extension heuristics; a corrupt or stale sidecar
-    logs a warning and falls back the same way.
+    and embedded/dynamic flags all survive the round trip: a
+    materialized load is ``Trace(read_sidecar(...))``, a streamed one a
+    :class:`~repro.logs.replay.SidecarRequestSource` over the same
+    reader, and both are validated by one
+    :meth:`~repro.logs.records.TraceSummary.scan` before they are
+    returned.  Without the sidecar (real logs, older saves) arrivals
+    carry CLF's whole-second resolution and flags come from extension
+    heuristics; a corrupt, stale or unreplayable sidecar (bad header,
+    row count, arrival or size) logs a warning and falls back the same
+    way.
 
     Both logs are read through :class:`~repro.logs.clf.CLFSource`, which
     replaces undecodable bytes instead of failing, so materialized and
     streamed loads read the same records.  ``stream=True`` keeps the
     workload lazy end to end: the training log stays a re-iterable
     ``CLFSource`` (which :func:`~repro.core.system.mine_models` folds
-    straight off disk) and the evaluation trace becomes a
-    :class:`~repro.logs.replay.SidecarRequestSource` streamed straight
-    into the simulator's arrival pump — a full replay
-    never materializes the requests, and produces bit-identical results
-    to the materialized path.  Streamed evaluation requires the sidecar
+    straight off disk) and the evaluation trace is streamed straight
+    into the simulator's arrival pump — a full replay never
+    materializes the requests, and produces bit-identical results to
+    the materialized path.  Streamed evaluation requires the sidecar
     (only it preserves exact arrivals and connection structure); when
     the sidecar is unusable the evaluation trace is materialized via the
     CLF heuristics with a WARNING, same as a materialized load.
@@ -248,7 +208,7 @@ def load_workload(
 
     meta_path = directory / TRACE_META_NAME
     trace_name = f"{name or site.name}-eval"
-    trace: "Trace | SidecarRequestSource | None" = None
+    trace: RequestSource | None = None
     if meta_path.exists():
         try:
             if stream:
@@ -257,9 +217,8 @@ def load_workload(
                     sample_rate=sample_rate, sample_seed=sample_seed,
                 )
             else:
-                trace = _load_trace_meta(
-                    meta_path, name=trace_name, sampler=sampler,
-                )
+                trace = Trace(read_sidecar(meta_path, sampler),
+                              name=trace_name)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             logger.warning(
                 "%s: unusable trace sidecar (%s); falling back to CLF "

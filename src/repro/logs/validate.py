@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .records import LogRecord, Trace
+from .records import LogRecord, RequestSource
 
 __all__ = ["Finding", "ValidationReport", "validate_records", "validate_trace"]
 
@@ -131,8 +131,8 @@ def validate_records(records: Sequence[LogRecord]) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def validate_trace(trace: Trace) -> ValidationReport:
-    """Diagnose a simulator trace (post-sessionization)."""
+def validate_trace(trace: RequestSource) -> ValidationReport:
+    """Diagnose a simulator trace (post-sessionization), in one pass."""
     findings: list[Finding] = []
     if len(trace) == 0:
         return ValidationReport((Finding(
@@ -145,8 +145,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
             f"{orphans} embedded objects have no parent page "
             "(they will be dispatched instead of forwarded)"))
 
-    conn_sizes = Counter(r.conn_id for r in trace)
-    giant = max(conn_sizes.values())
+    giant = max(trace.summary.connection_counts.values())
     if giant > 1000:
         findings.append(Finding(
             "warning", "giant-connection",

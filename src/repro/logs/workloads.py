@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .clf import CLFSource
-from .records import LogRecord, Trace
-from .replay import RequestSource
+from .records import LogRecord, RequestSource
 from .sessions import trace_from_records
 from .site import SiteSpec, Website, build_site
 from .synthetic import TraceGenerator, TrafficSpec
@@ -47,16 +46,18 @@ class Workload:
     ``training_records`` is usually a materialized list; workloads loaded
     with ``load_workload(..., stream=True)`` carry a re-iterable
     :class:`~repro.logs.clf.CLFSource` instead, which mining folds
-    straight off disk in constant memory.  Likewise ``trace`` is usually a
-    materialized :class:`Trace` but may be a lazy re-iterable
-    :class:`~repro.logs.replay.RequestSource` (streamed loads), which
-    the simulator replays bit-identically without holding the requests.
+    straight off disk in constant memory.  ``trace`` is a
+    :class:`~repro.logs.records.RequestSource`: usually the in-memory
+    :class:`~repro.logs.records.Trace`, or a
+    :class:`~repro.logs.replay.SidecarRequestSource` for streamed loads,
+    which the simulator replays bit-identically without holding the
+    requests.
     """
 
     name: str
     site: Website
     training_records: Sequence[LogRecord] | CLFSource
-    trace: Trace | RequestSource
+    trace: RequestSource
 
     @property
     def num_requests(self) -> int:

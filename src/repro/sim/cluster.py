@@ -13,8 +13,9 @@ Models the paper's Fig. 5 pipeline.  Each request pays, in order:
    :class:`~repro.sim.server.BackendServer`).
 
 The trace is replayed open-loop at its recorded timestamps (the paper's
-simulator is trace-driven); compress a trace with ``Trace.scaled`` to
-raise offered load.
+simulator is trace-driven).  Offered load is raised by generating the
+workload at a higher session rate, never by compressing timestamps
+(DESIGN.md §6a, item 9).
 
 Arrivals stream into the calendar through a bounded lookahead window
 (:class:`_ArrivalPump`) rather than being materialised up front, so the
@@ -32,12 +33,15 @@ calendar carries integer slot indices via the engine's ``arg`` channel
 and every stage callback is one long-lived bound method, so the demand
 hot path allocates nothing per request beyond the slot columns.
 
-The pump pulls from an iterator, so the trace may be a materialized
-:class:`~repro.logs.records.Trace` *or* a lazy re-iterable
-:class:`~repro.logs.replay.RequestSource` — with a source, a full
-replay holds O(window) requests instead of the whole trace, and the
-results are bit-identical (the streamed-replay differential check and
-``tests/test_streamed_replay.py`` prove it).
+The trace is a :class:`~repro.logs.records.RequestSource` and the pump
+pulls from its iterator, so the in-memory
+:class:`~repro.logs.records.Trace` and the lazy
+:class:`~repro.logs.replay.SidecarRequestSource` replay alike; with the
+lazy source a full replay holds O(window) requests instead of the whole
+trace, and the results are bit-identical (the streamed-replay
+differential check and ``tests/test_streamed_replay.py`` prove it).
+A pass that yields more or fewer requests than the source's summary
+counted (a sidecar rewritten after it was loaded) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ from typing import (
 import numpy as np
 
 from ..core.config import SimulationParams
-from ..logs.records import Request, Trace
-from ..logs.replay import RequestSource
+from ..logs.records import Request, RequestSource
 from ..policies.base import Policy, RoutingDecision
 from .audit import AuditSummary, SimulationAuditor
 from .engine import Resource, Simulator
@@ -121,7 +124,7 @@ class _ArrivalPump:
     def __init__(
         self,
         cluster: "ClusterSimulator",
-        trace: "Trace | RequestSource",
+        trace: RequestSource,
         base_seq: int,
         window: int,
     ) -> None:
@@ -163,6 +166,19 @@ class _ArrivalPump:
             ]
         else:
             batch = list(islice(self._it, n))
+        # The summary's count sized the sequence block and the
+        # connection close bookkeeping; a pass that disagrees with it
+        # (a sidecar rewritten since it was loaded) cannot replay.
+        if len(batch) < n:
+            raise ValueError(
+                f"trace {cluster.trace.name!r} ended after "
+                f"{i + len(batch)} of its {self.total} requests"
+            )
+        if self.next_index == self.total and next(self._it, None) is not None:
+            raise ValueError(
+                f"trace {cluster.trace.name!r} yielded more than its "
+                f"{self.total} requests"
+            )
         tx, disk = service_time_arrays(
             np.array([r.size for r in batch], dtype=np.float64),
             self._tx_us, self._disk_ms, self._disk_us,
@@ -244,10 +260,12 @@ class ClusterSimulator:
     Parameters
     ----------
     trace:
-        Evaluation trace (arrival times set the offered load) — a
-        materialized :class:`Trace` or a lazy re-iterable
-        :class:`~repro.logs.replay.RequestSource`; both replay
-        bit-identically, the source without ever holding the requests.
+        Evaluation trace (arrival times set the offered load), any
+        :class:`~repro.logs.records.RequestSource`: the in-memory
+        :class:`~repro.logs.records.Trace` and the lazy
+        :class:`~repro.logs.replay.SidecarRequestSource` replay
+        bit-identically, the lazy one without ever holding the
+        requests.  ``None`` selects injection mode.
     policy:
         A bound-on-construction :class:`~repro.policies.base.Policy`.
     params:
@@ -269,7 +287,7 @@ class ClusterSimulator:
 
     def __init__(
         self,
-        trace: "Trace | RequestSource | None",
+        trace: RequestSource | None,
         policy: Policy,
         params: SimulationParams | None = None,
         *,
@@ -362,8 +380,8 @@ class ClusterSimulator:
             # Full per-connection request counts, known before the first
             # event: a connection's close hook fires when its *last*
             # request completes, which no bounded-lookahead stream could
-            # learn in time.  Trace and RequestSource both supply the
-            # counts from summary state, not a second request pass.
+            # learn in time.  Every source supplies the counts from its
+            # summary, not a second request pass.
             self._remaining_per_conn.update(trace.connection_counts())
             self._t0 = trace.start
         else:

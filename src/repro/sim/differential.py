@@ -352,7 +352,10 @@ def check_streamed_replay(
     For every preset: save the workload, load it back twice — once
     materialized, once with ``stream=True`` (lazy training log + lazy
     sidecar-streamed evaluation trace) — run the policy over both, and
-    require the two reports field-for-field identical.
+    require the two reports field-for-field identical.  The streamed
+    run carries the strict auditor (reports are audit-transparent), so
+    the simulator's invariants are checked over a lazy source too; a
+    violation raises :class:`~repro.sim.audit.AuditError`.
     """
     import tempfile
     from pathlib import Path
@@ -371,7 +374,7 @@ def check_streamed_replay(
             batch = load_workload(out)
             streamed = load_workload(out, stream=True)
             a = run_policy(batch, policy_name, params)
-            b = run_policy(streamed, policy_name, params)
+            b = run_policy(streamed, policy_name, params, audit=True)
             check = _compare(
                 name, report_fields(a), report_fields(b),
                 f"{policy_name} materialized vs streamed on {preset}",
@@ -381,7 +384,7 @@ def check_streamed_replay(
             total_requests += len(batch.trace)
     return DifferentialCheck(
         name, True,
-        f"{policy_name} materialized == streamed on "
+        f"{policy_name} materialized == streamed (audited) on "
         f"{'/'.join(preset_scales)} ({total_requests} requests total)",
     )
 

@@ -149,6 +149,34 @@ class TestCompareCommand:
         assert "wrr" in out and "lard" in out
 
 
+_CLUSTER_COMMANDS = ("simulate", "compare", "replay", "capacity")
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--train-fraction", "0"),
+        ("simulate", "--train-fraction", "-1"),
+        ("simulate", "--train-fraction", "nan"),
+        ("compare", "--train-fraction", "1"),
+        *[(command, "--backends", "0") for command in _CLUSTER_COMMANDS],
+        *[(command, "--cache-mb", value) for command in _CLUSTER_COMMANDS
+          for value in ("-1", "nan")],
+        ("replay", "--cache-fraction", "0"),
+        ("replay", "--cache-fraction", "5"),
+        ("replay", "--cache-fraction", "nan"),
+        ("capacity", "--duration", "0"),
+        ("capacity", "--concurrency", "0"),
+    ])
+    def test_bad_value_rejected_before_reading(self, tmp_path, command,
+                                               flag, value):
+        # The log or workload directory does not exist, so reading it
+        # would raise FileNotFoundError; capacity would build a preset.
+        target = ("synthetic" if command == "capacity"
+                  else str(tmp_path / "never-read"))
+        with pytest.raises(SystemExit, match=f"^error: {flag} must be"):
+            main([command, target, flag, value])
+
+
 class TestTable1Command:
     def test_prints_table(self, capsys):
         rc = main(["table1"])

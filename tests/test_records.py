@@ -1,5 +1,7 @@
 """Tests for the core record/trace types."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,33 +57,22 @@ class TestTrace:
         assert len(t) == 0
         assert t.total_bytes == 0
 
-    def test_connection_ids_order(self):
-        t = Trace([req(0.0, conn=5), req(1.0, conn=2), req(2.0, conn=5)])
-        assert t.connection_ids() == [5, 2]
-
     def test_head(self):
         t = Trace([req(float(i), conn=i) for i in range(10)])
         assert len(t.head(3)) == 3
 
-    def test_scaled_compresses_gaps(self):
-        t = Trace([req(10.0), req(14.0, conn=1)])
-        half = t.scaled(0.5)
-        assert half.duration == pytest.approx(2.0)
-        assert half[0].arrival == pytest.approx(10.0)
-
-    def test_scaled_rejects_nonpositive(self):
-        t = Trace([req(0.0)])
-        with pytest.raises(ValueError):
-            t.scaled(0.0)
-
-    def test_scaled_empty(self):
-        assert len(Trace([]).scaled(2.0)) == 0
-
-    def test_merge_sorts(self):
-        a = Trace([req(0.0, conn=0), req(5.0, conn=0)])
-        b = Trace([req(2.0, conn=1)])
-        m = Trace.merge([a, b])
-        assert [r.arrival for r in m] == [0.0, 2.0, 5.0]
+    @pytest.mark.parametrize("bad,match", [
+        (req(math.nan), "not finite"),
+        (req(math.inf), "not finite"),
+        (req(-math.inf), "not finite"),
+        (req(1.0, size=0), "size must be positive"),
+        (req(1.0, size=-5000), "size must be positive"),
+    ])
+    def test_rejects_unreplayable_request(self, bad, match):
+        # Every replay input passes TraceSummary.scan, so a request the
+        # simulator cannot replay fails at construction, not mid-run.
+        with pytest.raises(ValueError, match=match):
+            Trace([bad])
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=50))
@@ -89,14 +80,3 @@ class TestTrace:
         times.sort()
         t = Trace([req(x, conn=i) for i, x in enumerate(times)])
         assert t.duration == pytest.approx(times[-1] - times[0])
-
-    @given(st.floats(min_value=0.01, max_value=100.0),
-           st.lists(st.floats(min_value=0, max_value=1e4, allow_nan=False),
-                    min_size=2, max_size=20))
-    def test_property_scaling_preserves_order_and_count(self, factor, times):
-        times.sort()
-        t = Trace([req(x, conn=i) for i, x in enumerate(times)])
-        s = t.scaled(factor)
-        assert len(s) == len(t)
-        arr = [r.arrival for r in s]
-        assert arr == sorted(arr)

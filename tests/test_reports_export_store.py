@@ -20,6 +20,34 @@ from repro.mining import BundleTable, DependencyGraph, analyze_log
 from repro.mining.export import bundle_table_to_dot, depgraph_to_dot
 
 
+def _set_field(row_index, key, value):
+    """A corruption that rewrites one field of one sidecar data row."""
+    def corrupt(p):
+        lines = p.read_text().splitlines(keepends=True)
+        row = json.loads(lines[row_index])
+        row[key] = value
+        lines[row_index] = json.dumps(row) + "\n"
+        p.write_text("".join(lines))
+    return corrupt
+
+
+#: Sidecar defects a load must reject (and fall back from) before
+#: replay: the last five decode cleanly but cannot be replayed.
+CORRUPT_SIDECARS = [
+    lambda p: p.write_text('{"kind": "something-else"}\n'),
+    lambda p: p.write_text("not json at all\n"),
+    lambda p: p.write_text(""),
+    # Truncation: drop the last data row, keep the header count.
+    lambda p: p.write_text(
+        "".join(p.read_text().splitlines(keepends=True)[:-1])),
+    pytest.param(_set_field(1, "a", float("nan")), id="nan-first-arrival"),
+    pytest.param(_set_field(-1, "a", float("inf")), id="inf-last-arrival"),
+    pytest.param(_set_field(-1, "a", float("nan")), id="nan-last-arrival"),
+    pytest.param(_set_field(1, "s", 0), id="zero-size"),
+    pytest.param(_set_field(-1, "s", -5000), id="negative-size"),
+]
+
+
 def rec(host, t, path, status=200, size=100):
     return LogRecord(host=host, timestamp=float(t), method="GET", path=path,
                      protocol="HTTP/1.1", status=status, size=size)
@@ -220,14 +248,7 @@ class TestTraceSidecar:
         assert any(b.arrival != a.arrival
                    for a, b in zip(w.trace, again.trace))
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda p: p.write_text('{"kind": "something-else"}\n'),
-        lambda p: p.write_text("not json at all\n"),
-        lambda p: p.write_text(""),
-        # Truncation: drop the last data row, keep the header count.
-        lambda p: p.write_text(
-            "".join(p.read_text().splitlines(keepends=True)[:-1])),
-    ])
+    @pytest.mark.parametrize("corrupt", CORRUPT_SIDECARS)
     def test_corrupt_sidecar_warns_and_falls_back(self, tmp_path, caplog,
                                                   corrupt):
         import logging
@@ -242,13 +263,36 @@ class TestTraceSidecar:
     def test_stale_sidecar_count_detected(self, tmp_path):
         # The header count guards against the sidecar drifting out of
         # sync with access.log (e.g. partial rewrite).
-        from repro.logs.store import _load_trace_meta
+        from repro.logs.replay import read_sidecar
         w = self.make_workload()
         out = save_workload(w, tmp_path / "wl")
         p = out / "trace.meta.jsonl"
         p.write_text("".join(p.read_text().splitlines(keepends=True)[:-2]))
         with pytest.raises(ValueError, match="truncated"):
-            _load_trace_meta(p, name="x")
+            list(read_sidecar(p))
+
+    def test_sidecar_bytes_pinned(self, tmp_path):
+        # The bytes are a contract: saved workloads from older versions
+        # must stay loadable, and benchmarks hash the saved inputs.
+        from repro.logs import Request, Trace, Website, Workload
+        trace = Trace([
+            Request(0.5, 7, "/a.html", 1200, client="h1"),
+            Request(0.625, 7, "/a.gif", 300, is_embedded=True,
+                    parent="/a.html", client="h1"),
+            Request(2.0, 9, "/cgi/q", 512, dynamic=True),
+        ], name="t")
+        out = save_workload(Workload("w", Website([]), [], trace),
+                            tmp_path / "wl")
+        assert (out / "trace.meta.jsonl").read_text() == (
+            '{"format_version": 1, "kind": "prord-trace-meta", '
+            '"name": "t", "n": 3}\n'
+            '{"a": 0.5, "c": 7, "p": "/a.html", "s": 1200, "e": false, '
+            '"d": false, "pa": null, "cl": "h1"}\n'
+            '{"a": 0.625, "c": 7, "p": "/a.gif", "s": 300, "e": true, '
+            '"d": false, "pa": "/a.html", "cl": "h1"}\n'
+            '{"a": 2.0, "c": 9, "p": "/cgi/q", "s": 512, "e": false, '
+            '"d": true, "pa": null, "cl": "-"}\n'
+        )
 
 
 class TestStreamedTraceSidecar:
@@ -281,14 +325,7 @@ class TestStreamedTraceSidecar:
         assert isinstance(again.trace, Trace)
         assert len(again.trace) == len(w.trace)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda p: p.write_text('{"kind": "something-else"}\n'),
-        lambda p: p.write_text("not json at all\n"),
-        lambda p: p.write_text(""),
-        # Truncation: drop the last data row, keep the header count.
-        lambda p: p.write_text(
-            "".join(p.read_text().splitlines(keepends=True)[:-1])),
-    ])
+    @pytest.mark.parametrize("corrupt", CORRUPT_SIDECARS)
     def test_corrupt_sidecar_warns_and_falls_back(self, tmp_path, caplog,
                                                   corrupt):
         import logging

@@ -264,7 +264,7 @@ class TestTraceFromRecords:
     def test_one_connection_per_session(self):
         recs = [rec("h", 0, "/a.html"), rec("h", 10_000, "/b.html")]
         trace = trace_from_records(recs, timeout=100)
-        assert len(trace.connection_ids()) == 2
+        assert len(trace.connection_counts()) == 2
 
     def test_zero_size_clamped(self):
         recs = [rec("h", 0, "/a.html", size=0)]

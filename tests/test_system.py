@@ -9,11 +9,9 @@ from repro.core import (
     build_policy,
     cache_bytes_for_fraction,
     mine_components,
-    offered_rps,
     run_policy,
-    scale_to_offered_load,
 )
-from repro.logs import Trace, Request, synthetic_workload
+from repro.logs import synthetic_workload
 
 
 @pytest.fixture(scope="module")
@@ -75,26 +73,6 @@ class TestBuildPolicy:
 
 
 class TestHelpers:
-    def test_offered_rps(self):
-        reqs = [Request(arrival=float(i), conn_id=i, path="/a", size=1)
-                for i in range(11)]
-        assert offered_rps(Trace(reqs)) == pytest.approx(1.1)
-
-    def test_offered_rps_zero_duration(self):
-        t = Trace([Request(arrival=0.0, conn_id=0, path="/a", size=1)])
-        assert offered_rps(t) == 1.0
-
-    def test_scale_to_offered_load(self):
-        reqs = [Request(arrival=float(i), conn_id=i, path="/a", size=1)
-                for i in range(11)]
-        scaled = scale_to_offered_load(Trace(reqs), 2.2)
-        assert offered_rps(scaled) == pytest.approx(2.2)
-
-    def test_scale_invalid(self):
-        t = Trace([Request(arrival=0.0, conn_id=0, path="/a", size=1)])
-        with pytest.raises(ValueError):
-            scale_to_offered_load(t, 0)
-
     def test_cache_bytes_aggregate_semantics(self, workload):
         total = cache_bytes_for_fraction(workload, 0.3, 1)
         per8 = cache_bytes_for_fraction(workload, 0.3, 8)
