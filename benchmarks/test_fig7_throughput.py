@@ -46,4 +46,4 @@ def test_fig7_report(benchmark):
     assert thr["wrr"] < thr["lard"]
     assert thr["lard"] <= thr["ext-lard-phttp"] * 1.02
     assert thr["prord"] > thr["lard"]
-    assert gain > 0.05
+    assert gain > 0.10

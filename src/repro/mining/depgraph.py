@@ -151,29 +151,33 @@ class DependencyGraph:
         no suffix of ``context`` has been observed.  Confidence of page
         ``p`` is ``count(context -> p) / count(context -> anything)``.
         """
-        counter, total, ctx_len = self.candidate_counts(context)
+        key, counter, total = self.candidate_counts(context)
         if counter is None:
             return {}, 0
-        return {page: n / total for page, n in counter.items()}, ctx_len
+        return {page: n / total for page, n in counter.items()}, len(key)
 
     def candidate_counts(
         self, context: Sequence[str]
-    ) -> tuple[Counter[str] | None, int, int]:
-        """Raw form of :meth:`candidates`: ``(counter, total, matched)``.
+    ) -> tuple[tuple[str, ...], Counter[str] | None, int]:
+        """Raw form of :meth:`candidates`: ``(key, counter, total)``.
 
-        The hot prefetch path divides only the entries it keeps, so it
-        asks for the counts instead of a fully normalised mapping
-        (``n / total`` on demand gives the same floats).  The returned
-        counter is the live one — callers must not mutate it.
+        ``key`` is the matched context suffix (``()`` with a ``None``
+        counter when nothing matches).  The hot prefetch path divides
+        only the entries it keeps, so it asks for the counts instead of
+        a fully normalised mapping (``n / total`` on demand gives the
+        same floats).  The returned counter is the live one — callers
+        must not mutate it.  Every update to a context's counter also
+        bumps its total, so ``(key, total)`` identifies the counter's
+        contents and callers may memoise on it.
         """
-        ctx = list(context)[-self.order:]
+        ctx = tuple(context)[-self.order:]
         counts = self._counts
-        for ctx_len in range(len(ctx), 0, -1):
-            key = tuple(ctx[-ctx_len:])
+        for start in range(len(ctx)):  # longest suffix first
+            key = ctx[start:]
             counter = counts.get(key)
             if counter:
-                return counter, self._totals[key], ctx_len
-        return None, 0, 0
+                return key, counter, self._totals[key]
+        return (), None, 0
 
     def predict(self, context: Sequence[str]) -> Prediction | None:
         """Most confident next page for ``context``, or None if unseen."""

@@ -14,8 +14,6 @@ import math
 from collections import Counter
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from ..logs.records import LogRecord
 
 __all__ = ["RankTable", "PopularityTracker"]
@@ -89,14 +87,20 @@ class PopularityTracker:
     seeds the counts (scaled by ``prior_weight``) so the tracker is
     useful from the first request.
 
-    Scores live in a dense float64 array (paths map to slots through
-    ``_index``, in first-seen order) so the per-record decay sweep is a
-    single vectorised multiply instead of a Python-level dict walk —
-    this is the replication engine's hot path.  Scalar multiplication of
-    a float64 array is a per-element IEEE-754 round-to-nearest multiply,
-    the same operation the scalar loop performed, so scores stay
-    bit-identical to the dict implementation.
+    Scores are kept relative to a reference time ``epoch``: a hit at
+    ``now`` adds ``w = exp(λ·(now − epoch))`` to its path, so a score
+    divided by the current ``w`` is the decayed count at the last update
+    time.  Recording a hit is O(1) in the catalogue size: nothing sweeps
+    the scores per hit.  Once ``w`` passes 2**64 every score is scaled
+    down to the current time and ``epoch`` moves there, so scores stay
+    far from overflow.  Scores agree with a step-by-step decay to within
+    rounding, not bit for bit.
     """
+
+    #: Scores are re-based once ``w`` passes 2**64, i.e. every 64
+    #: half-lives.  The check compares exponents, ``log(w)`` against
+    #: ``log(2**64)``, so one long jump in time cannot overflow ``exp``.
+    _REBASE_EXPONENT = 64 * math.log(2.0)
 
     def __init__(
         self,
@@ -105,87 +109,80 @@ class PopularityTracker:
         half_life: float = 60.0,
         prior_weight: float = 1.0,
     ) -> None:
-        if half_life <= 0:
-            raise ValueError("half_life must be positive")
+        if not 0 < half_life < math.inf:
+            raise ValueError(
+                f"half_life must be positive and finite, got {half_life}"
+            )
         self.half_life = half_life
         self._lambda = math.log(2.0) / half_life
-        #: path -> slot in ``_arr``, insertion-ordered
+        #: path -> slot in ``_scores``, insertion-ordered
         self._index: dict[str, int] = {}
-        self._arr = np.zeros(64, dtype=np.float64)
-        self._last_update: float = 0.0
+        #: per-slot score, relative to ``_epoch``
+        self._scores: list[float] = []
+        self._epoch = 0.0
+        #: time of the last update, and the hit weight at that time
+        self._now = 0.0
+        self._w = 1.0
         if prior is not None and len(prior) > 0:
             top_count = prior.top(1)[0][1]
             for path, count in prior.items():
-                idx = self._slot(path)
-                self._arr[idx] = prior_weight * count / top_count
-
-    def _slot(self, path: str) -> int:
-        """Assign ``path`` the next free slot, growing the array."""
-        idx = len(self._index)
-        arr = self._arr
-        if idx >= arr.shape[0]:
-            grown = np.zeros(arr.shape[0] * 2, dtype=np.float64)
-            grown[:idx] = arr
-            self._arr = grown
-        self._index[path] = idx
-        return idx
-
-    def _decay_to(self, now: float) -> None:
-        if now < self._last_update:
-            raise ValueError("time must not run backwards")
-        dt = now - self._last_update
-        n = len(self._index)
-        if dt > 0 and n:
-            self._arr[:n] *= math.exp(-self._lambda * dt)
-        self._last_update = now
+                self._index[path] = len(self._scores)
+                self._scores.append(prior_weight * count / top_count)
 
     def __len__(self) -> int:
         return len(self._index)
 
     def record(self, path: str, now: float) -> None:
         """Register one hit on ``path`` at simulation time ``now``."""
-        # _decay_to inlined: this runs once per routed request.
-        last = self._last_update
-        if now < last:
-            raise ValueError("time must not run backwards")
-        index = self._index
-        n = len(index)
-        if now > last and n:
-            self._arr[:n] *= math.exp(-self._lambda * (now - last))
-        self._last_update = now
-        idx = index.get(path)
+        if now != self._now:
+            # Written so NaN fails too: every comparison with NaN is false.
+            if not self._now < now < math.inf:
+                raise ValueError(
+                    f"time must be finite and must not run backwards: "
+                    f"{now} after {self._now}"
+                )
+            self._now = now
+            x = self._lambda * (now - self._epoch)
+            if x > self._REBASE_EXPONENT:
+                decay = math.exp(-x)
+                self._scores = [s * decay for s in self._scores]
+                self._epoch = now
+                x = 0.0
+            self._w = math.exp(x)
+        idx = self._index.get(path)
         if idx is None:
-            idx = self._slot(path)
-        self._arr[idx] += 1.0
+            self._index[path] = len(self._scores)
+            self._scores.append(self._w)
+        else:
+            self._scores[idx] += self._w
 
     def rank(self, path: str) -> float:
         """Normalised popularity in [0, 1] at the last update time."""
-        n = len(self._index)
-        if not n:
-            return 0.0
-        peak = float(self._arr[:n].max())
-        if peak <= 0:
-            return 0.0
         idx = self._index.get(path)
         if idx is None:
             return 0.0
-        return float(self._arr[idx]) / peak
+        peak = max(self._scores)
+        if peak <= 0:
+            return 0.0
+        return self._scores[idx] / peak
 
     def snapshot(self) -> RankTable:
         """Freeze current scores into a :class:`RankTable` (scaled ints)."""
-        n = len(self._index)
-        if not n:
+        scores = self._scores
+        if not scores:
             return RankTable({})
-        arr = self._arr
-        scale = 1_000_000 / float(arr[:n].max())
+        scale = 1_000_000 / max(scores)
         return RankTable({
-            p: max(1, int(arr[i] * scale)) for p, i in self._index.items()
-            if arr[i] > 0
+            p: max(1, int(scores[i] * scale))
+            for p, i in self._index.items() if scores[i] > 0
         })
 
     def top(self, n: int) -> list[tuple[str, float]]:
-        arr = self._arr
+        """The ``n`` highest (path, decayed score) pairs, ties by path."""
+        w = self._w
+        scores = self._scores
         return sorted(
-            ((p, float(arr[i])) for p, i in self._index.items()),
+            ((p, scores[i] / w) for p, i in self._index.items()),
             key=lambda kv: (-kv[1], kv[0]),
         )[:n]
+

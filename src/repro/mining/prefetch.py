@@ -99,6 +99,14 @@ class PrefetchPredictor:
         # Duck-typed predictors (PPM) expose only the normalised
         # ``candidates`` surface; the raw-counts fast path is optional.
         self._candidate_counts = getattr(graph, "candidate_counts", None)
+        #: matched context -> (its total, its above-threshold successors
+        #: as ``(confidence, page)``, most confident first, ties by page).
+        #: A context's counter changes only together with its total and
+        #: the threshold is fixed, so an entry stays valid while the
+        #: total it was built at is current.
+        self._ranked: dict[
+            tuple[str, ...], tuple[int, list[tuple[float, str]]]
+        ] = {}
         self.stats = PrefetchStats()
 
     def observe(self, conn_id: int, page: str) -> PrefetchDecision | None:
@@ -140,18 +148,20 @@ class PrefetchPredictor:
 
         threshold = self.threshold
         if self._candidate_counts is not None:
-            counter, total, _ = self._candidate_counts(seq)
+            key, counter, total = self._candidate_counts(seq)
             if counter is None:
                 return []
-            # ``n / total`` here is the same division candidates()
-            # performs when normalising, so the confidences are
-            # bit-identical — this just skips building the full mapping
-            # for entries the threshold drops anyway.
-            picked = sorted(
-                ((n / total, p) for p, n in counter.items()
-                 if p != page and n / total > threshold),
-                key=lambda e: (-e[0], e[1]),
-            )[:k]
+            entry = self._ranked.get(key)
+            if entry is None or entry[0] != total:
+                # ``n / total`` here is the same division candidates()
+                # performs when normalising, so the confidences are
+                # bit-identical.
+                entry = self._ranked[key] = (total, sorted(
+                    ((n / total, p) for p, n in counter.items()
+                     if n / total > threshold),
+                    key=lambda e: (-e[0], e[1]),
+                ))
+            picked = [e for e in entry[1] if e[1] != page][:k]
         else:
             scores, _ = self.graph.candidates(seq)
             picked = sorted(

@@ -153,6 +153,11 @@ class PRORDPolicy(Policy):
         self._prefetch_loc: dict[str, int] = {}
         #: path -> backend it was last distributed to
         self._assignment: dict[str, int] = {}
+        #: (page, backend) -> (bundle directives, {object: backend})
+        self._bundle_memo: dict[
+            tuple[str, int],
+            tuple[tuple[PrefetchDirective, ...], dict[str, int]],
+        ] = {}
         #: dispatcher cached at bind time (None while unbound — readers
         #: fall back to ``self.cluster.dispatcher``, preserving the
         #: unbound RuntimeError)
@@ -202,16 +207,36 @@ class PRORDPolicy(Policy):
                     return target
         return self.least_loaded()
 
+    def _add_bundle(
+        self, directives: list[PrefetchDirective], page: str, target: int
+    ) -> None:
+        """Append ``page``'s capped bundle to ``directives`` as
+        prefetches on ``target``, and record where each object went.
+
+        Both are built once per ``(page, target)``: the bundle table and
+        the cap are fixed after construction and directives are frozen,
+        so later page views reuse them.
+        """
+        key = (page, target)
+        entry = self._bundle_memo.get(key)
+        if entry is None:
+            objs = self._bundles.objects_of(page)[:self.max_bundle_prefetch]
+            entry = self._bundle_memo[key] = (
+                tuple(PrefetchDirective(target, obj) for obj in objs),
+                dict.fromkeys(objs, target),
+            )
+        directives.extend(entry[0])
+        self._prefetch_loc.update(entry[1])
+
     def _proactive(
         self, request: Request, target: int
     ) -> tuple[PrefetchDirective, ...]:
-        """Bundle + navigation prefetches for a main-page request."""
+        """Bundle + navigation prefetches for a main-page request: the
+        page's bundle on ``target``, then each predicted page and its
+        bundle on the predicted page's home backend."""
         directives: list[PrefetchDirective] = []
         if self._f_bundle:
-            objs = self._bundles.objects_of(request.path)
-            for obj in objs[:self.max_bundle_prefetch]:
-                directives.append(PrefetchDirective(target, obj))
-                self._prefetch_loc[obj] = target
+            self._add_bundle(directives, request.path, target)
         if self._f_nav:
             decisions = self._predictor.observe_many(
                 request.conn_id, request.path
@@ -228,10 +253,7 @@ class PRORDPolicy(Policy):
                 self._prefetch_loc[decision.page] = nav_target
                 if self._f_bundle:
                     # Prefetch the predicted page's bundle along with it.
-                    objs = self._bundles.objects_of(decision.page)
-                    for obj in objs[:self.max_bundle_prefetch]:
-                        directives.append(PrefetchDirective(nav_target, obj))
-                        self._prefetch_loc[obj] = nav_target
+                    self._add_bundle(directives, decision.page, nav_target)
         return tuple(directives)
 
     # -- Policy API ---------------------------------------------------------------

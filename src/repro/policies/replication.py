@@ -22,6 +22,7 @@ LRU.  A per-round byte budget bounds replication traffic.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import TYPE_CHECKING
 
@@ -45,7 +46,8 @@ class ReplicationEngine:
         from the first round.
     interval_s / t1:
         Override Algorithm 3's period and top threshold (defaults come
-        from ``SimulationParams``).
+        from ``SimulationParams``, whose bounds they must meet: a
+        positive, finite period and ``t1`` in ``(0, 1]``).
     max_round_fraction:
         Byte budget per round, as a fraction of one server's cache.
     pin_replicas:
@@ -64,6 +66,14 @@ class ReplicationEngine:
     ) -> None:
         if not 0.0 < max_round_fraction <= 1.0:
             raise ValueError("max_round_fraction must be in (0, 1]")
+        # The bounds SimulationParams.validate puts on the values these
+        # override; written so NaN fails too.
+        if interval_s is not None and not 0 < interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be positive and finite, got {interval_s}"
+            )
+        if t1 is not None and not 0.0 < t1 <= 1.0:
+            raise ValueError(f"t1 must be in (0, 1], got {t1}")
         self._tracker = tracker or PopularityTracker(prior, half_life=60.0)
         self._interval_override = interval_s
         self._t1_override = t1
@@ -187,10 +197,12 @@ class ReplicationEngine:
             missing = want - len(holders)
             if missing <= 0:
                 continue
-            # ...and push new copies to the least-loaded non-holders.
+            # ...and push new copies to the least-loaded live non-holders
+            # (a crashed backend would drop the copy on arrival).
             holder_ids = {s.server_id for s in holders}
             candidates = sorted(
-                (s for s in servers if s.server_id not in holder_ids),
+                (s for s in servers
+                 if s.up and s.server_id not in holder_ids),
                 key=lambda s: (s.load, s.server_id),
             )
             for target in candidates[:missing]:

@@ -275,6 +275,24 @@ class TestPRORD:
         assert paths == {"/i1.gif", "/i2.gif"}
         assert all(x.server_id == d.server_id for x in d.prefetches)
 
+    def test_bundle_prefetches_follow_each_backend(self):
+        from repro.mining import BundleTable
+        comps = PRORDComponents(bundles=BundleTable(
+            {"/page.html": ("/i1.gif", "/i2.gif")}))
+        c, p = self.make(components=comps)
+        c.set_loads(0, 1, 1, 1)
+        first = p.route(req("/page.html", conn=1))
+        assert first.server_id == 0
+        # Overload the page's home: the next view goes elsewhere, and
+        # so must its bundle.
+        c.set_loads(100, 0, 1, 1)
+        second = p.route(req("/page.html", conn=2))
+        assert second.server_id == 1
+        for d in (first, second):
+            assert [(x.server_id, x.path) for x in d.prefetches] == [
+                (d.server_id, "/i1.gif"), (d.server_id, "/i2.gif")]
+        assert p._prefetch_loc == {"/i1.gif": 1, "/i2.gif": 1}
+
     def test_max_bundle_prefetch_cap(self):
         from repro.mining import BundleTable
         comps = PRORDComponents(bundles=BundleTable(

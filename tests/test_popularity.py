@@ -1,7 +1,9 @@
 """Tests for popularity mining (rank tables and the online tracker)."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.logs import LogRecord
 from repro.mining import PopularityTracker, RankTable
@@ -64,8 +66,9 @@ class TestRankTable:
 
 class TestPopularityTracker:
     def test_requires_positive_half_life(self):
-        with pytest.raises(ValueError):
-            PopularityTracker(half_life=0)
+        for half_life in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="half_life"):
+                PopularityTracker(half_life=half_life)
 
     def test_record_and_rank(self):
         tr = PopularityTracker(half_life=10)
@@ -88,6 +91,27 @@ class TestPopularityTracker:
         tr.record("/a", 5.0)
         with pytest.raises(ValueError):
             tr.record("/b", 1.0)
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, now):
+        tr = PopularityTracker(half_life=1.0)
+        tr.record("/a", 0.0)
+        tr.record("/a", 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            tr.record("/b", now)
+        # The rejected hit left no trace: time still decays normally.
+        tr.record("/b", 100.0)
+        assert tr.top(2) == [("/b", 1.0), ("/a", pytest.approx(2.0 / 2**100))]
+
+    def test_long_quiet_span(self):
+        # Ten thousand half-lives in one step: the decayed score
+        # underflows to zero instead of overflowing the hit weight.
+        tr = PopularityTracker(half_life=1.0)
+        tr.record("/old", 0.0)
+        tr.record("/new", 10_000.0)
+        assert tr.top(2) == [("/new", 1.0), ("/old", 0.0)]
+        assert tr.rank("/old") == 0.0
+        assert tr.rank("/new") == 1.0
 
     def test_prior_seeds_ranking(self):
         prior = RankTable({"/hot": 100, "/cool": 10})
@@ -125,3 +149,64 @@ class TestPopularityTracker:
         tr.record("/b", 0.0)
         names = [p for p, _ in tr.top(2)]
         assert names == ["/a", "/b"]
+
+
+class StepDecayReference:
+    """The step-by-step decay the tracker must agree with: every score
+    is multiplied by ``exp(-λ·dt)`` whenever time advances."""
+
+    def __init__(self, prior, half_life, prior_weight):
+        self.lam = math.log(2.0) / half_life
+        self.scores = {}
+        self.last = 0.0
+        if prior:
+            top_count = max(prior.values())
+            for path, count in prior.items():
+                self.scores[path] = prior_weight * count / top_count
+
+    def record(self, path, now):
+        if now > self.last:
+            factor = math.exp(-self.lam * (now - self.last))
+            for p in self.scores:
+                self.scores[p] *= factor
+        self.last = now
+        self.scores[path] = self.scores.get(path, 0.0) + 1.0
+
+
+PATHS = st.sampled_from(["/a", "/b", "/c", "/d", "/e"])
+#: steps in half-lives: ties, short gaps, and jumps past the 64
+#: half-lives after which the tracker re-bases its scores
+STEPS = st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(60.0, 70.0))
+
+
+class TestMatchesStepDecay:
+    @given(
+        prior=st.none() | st.dictionaries(
+            PATHS, st.integers(1, 100), min_size=1),
+        prior_weight=st.sampled_from([0.5, 1.0, 4.0]),
+        half_life=st.sampled_from([0.5, 1.0, 60.0]),
+        hits=st.lists(st.tuples(PATHS, STEPS), min_size=1, max_size=60),
+    )
+    def test_property_ranks_and_top(self, prior, prior_weight, half_life,
+                                    hits):
+        # Bounded so no reference score underflows.
+        assume(sum(dt for _, dt in hits) <= 400)
+        tr = PopularityTracker(RankTable(prior) if prior else None,
+                               half_life=half_life,
+                               prior_weight=prior_weight)
+        ref = StepDecayReference(prior, half_life, prior_weight)
+        now = 0.0
+        for path, dt in hits:
+            now += dt * half_life
+            tr.record(path, now)
+            ref.record(path, now)
+        peak = max(ref.scores.values())
+        for path, score in ref.scores.items():
+            assert math.isclose(tr.rank(path), score / peak, rel_tol=1e-9)
+        top = tr.top(len(tr))
+        assert sorted(p for p, _ in top) == sorted(ref.scores)
+        for path, score in top:
+            assert math.isclose(score, ref.scores[path], rel_tol=1e-9)
+        # Order agrees wherever the reference tells two scores apart.
+        for (hi, _), (lo, _) in zip(top, top[1:]):
+            assert not ref.scores[lo] > ref.scores[hi] * (1 + 1e-9)

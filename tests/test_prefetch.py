@@ -1,6 +1,7 @@
 """Tests for the Algorithm-2 prefetch predictor."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.mining import DependencyGraph, PrefetchPredictor
 
@@ -156,3 +157,51 @@ class TestTopK:
         p.observe(1, "a")
         d = p.observe(1, "b")
         assert d is not None and d.page == "c"
+
+
+class CandidatesOnly:
+    """A graph seen only through the duck-typed predictor surface, so
+    the predictor takes the unmemoised ``candidates()`` path."""
+
+    def __init__(self, graph):
+        self._graph = graph
+        self.order = graph.order
+
+    def candidates(self, context):
+        return self._graph.candidates(context)
+
+    def record_transition(self, prev, nxt):
+        self._graph.record_transition(prev, nxt)
+
+
+PAGES = st.sampled_from("abcde")
+OPS = st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 3), PAGES,
+              st.integers(1, 3)),
+    st.tuples(st.just("close"), st.integers(0, 3)),
+)
+
+
+class TestMemoisedRanking:
+    @given(
+        order=st.integers(1, 3),
+        sequences=st.lists(st.lists(PAGES, min_size=2, max_size=6),
+                           max_size=12),
+        threshold=st.sampled_from([0.0, 0.2, 0.35, 0.5]),
+        ops=st.lists(OPS, max_size=60),
+    )
+    def test_property_matches_unmemoised(self, order, sequences,
+                                         threshold, ops):
+        g = DependencyGraph(order=order).train(sequences)
+        memo = PrefetchPredictor(g.copy(), threshold=threshold)
+        plain = PrefetchPredictor(CandidatesOnly(g.copy()),
+                                  threshold=threshold)
+        for op in ops:
+            if op[0] == "observe":
+                _, conn, page, k = op
+                assert (memo.observe_many(conn, page, k)
+                        == plain.observe_many(conn, page, k))
+            else:
+                memo.close(op[1])
+                plain.close(op[1])
+            assert memo.stats == plain.stats

@@ -1,5 +1,7 @@
 """Tests for the Algorithm-3 replication engine."""
 
+import math
+
 import pytest
 
 from repro.core import SimulationParams
@@ -37,6 +39,16 @@ class TestTiers:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ReplicationEngine(max_round_fraction=0)
+        # The overrides take SimulationParams' bounds: a period of 0
+        # would reschedule the round at the same instant forever.
+        for interval_s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="interval_s"):
+                ReplicationEngine(interval_s=interval_s)
+        for t1 in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="t1"):
+                ReplicationEngine(t1=t1)
+        engine = ReplicationEngine(interval_s=0.5, t1=1.0)
+        assert (engine.interval_s, engine.t1) == (0.5, 1.0)
 
     def test_unbound_raises(self):
         with pytest.raises(RuntimeError):
@@ -105,6 +117,18 @@ class TestRounds:
         cluster.run()
         assert engine.rounds >= 2
         assert engine.bytes_pushed <= engine.rounds * 4096
+
+    def test_no_push_to_down_backend(self, monkeypatch):
+        cluster, engine = make_cluster(n=4, reqs=self.hot_requests(),
+                                       replication_interval_s=0.5)
+        down = cluster.servers[3]
+        down.fail()
+        received = []
+        monkeypatch.setattr(down, "receive_replica",
+                            lambda path, size, **kw: received.append(path))
+        cluster.run()
+        assert engine.replicas_pushed >= 2
+        assert received == []
 
     def test_empty_tracker_round_is_noop(self):
         cluster, engine = make_cluster()
