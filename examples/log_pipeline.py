@@ -1,15 +1,12 @@
 #!/usr/bin/env python3
-"""The operator's workflow: logs on disk → analysis → simulation → trace.
+"""The operator's workflow: logs on disk → simulation → trace.
 
 Demonstrates the persistence and observability surface of the library:
 
 1. save a workload to disk as ``site.json`` + two Common-Log-Format
    files (the format the paper's simulator consumes);
-2. reload it and produce a website-usage report (the §2.2 WUM-style
-   statistics);
-3. export the mined dependency graph as Graphviz DOT;
-4. run a traced simulation and follow one request's lifecycle through
-   the cluster.
+2. reload it, run a traced simulation and follow one request's
+   lifecycle through the cluster.
 
 Run:  python examples/log_pipeline.py
 """
@@ -18,15 +15,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core import SimulationParams, mine_components, build_policy
-from repro.logs import (
-    load_workload,
-    page_sequences,
-    save_workload,
-    sessionize,
-    synthetic_workload,
-)
-from repro.mining import DependencyGraph, analyze_log
-from repro.mining.export import depgraph_to_dot
+from repro.logs import load_workload, save_workload, synthetic_workload
 from repro.sim import ClusterSimulator, RequestTracer
 
 
@@ -39,23 +28,8 @@ def main() -> None:
     print(f"saved workload to {workdir} "
           f"({', '.join(p.name for p in sorted(workdir.iterdir()))})")
 
-    # 2. reload + usage report -------------------------------------------
+    # 2. reload + traced simulation --------------------------------------
     workload = load_workload(workdir)
-    report = analyze_log(workload.training_records, top=3)
-    print()
-    print(report.format())
-
-    # 3. dependency graph as DOT -----------------------------------------
-    sequences = page_sequences(sessionize(workload.training_records),
-                               min_length=2)
-    graph = DependencyGraph(order=2).train(sequences)
-    dot_path = workdir / "depgraph.dot"
-    dot_path.write_text(depgraph_to_dot(graph, min_confidence=0.15,
-                                        max_nodes=20))
-    print(f"\nwrote {dot_path} "
-          f"({graph.num_contexts} contexts; render with `dot -Tsvg`)")
-
-    # 4. traced simulation -------------------------------------------------
     params = SimulationParams(
         n_backends=4,
         cache_bytes=int(0.3 * workload.site_bytes / 4),

@@ -76,16 +76,6 @@ def main() -> None:
           f"(order {dg.order}) vs PPM {ppm.memory_cells()} cells "
           f"(order {ppm.order})")
 
-    # --- adaptive index-page synthesis (§2.2.1) ------------------------
-    from repro.mining import IndexPageSynthesizer
-    suggestions = IndexPageSynthesizer(min_cooccurrence=3).suggest(
-        sequences, k=2)
-    print("\nsuggested index pages (PageGather-style clusters):")
-    for i, s in enumerate(suggestions, 1):
-        preview = ", ".join(s.pages[:4])
-        more = f" (+{len(s) - 4} more)" if len(s) > 4 else ""
-        print(f"  #{i} cohesion {s.score:.0f}: {preview}{more}")
-
 
 def _eval_records(workload):
     """Rebuild CLF-ish records from the eval trace for sessionizing."""

@@ -12,12 +12,12 @@ Package map
 ``repro.mining``
     Web-usage mining: dependency graphs (Alg. 1), prefetch prediction
     (Alg. 2), bundles, popularity, PPM/association/sequence predictors,
-    user categorization, usage reports, DOT export.
+    user categorization.
 ``repro.sim``
     Discrete-event cluster simulator: engine, caches, servers,
     dispatcher, metrics, power, tracing, closed-loop clients.
 ``repro.policies``
-    WRR, LARD, LARD/R, Ext-LARD-PHTTP, PRORD, replication (Alg. 3).
+    WRR, LARD, Ext-LARD-PHTTP, PRORD, replication (Alg. 3).
 ``repro.core``
     Table-1 parameters and the end-to-end mine -> build -> run pipeline.
 ``repro.experiments``

@@ -26,11 +26,10 @@ from .core.config import SimulationParams
 from .core.system import POLICY_NAMES, mine_components, run_policy
 from .logs.clf import CLFSource, ParseStats
 from .logs.records import LogRecord
-from .logs.sessions import page_sequences, sessionize, trace_from_records
+from .logs.sessions import trace_from_records
 from .logs.workloads import WORKLOAD_PRESETS, Workload, make_workload
-from .mining.bundles import BundleMiner
-from .mining.depgraph import DependencyGraph
 from .mining.fold import StreamingModelFold
+from .sim.differential import DEFAULT_POLICIES
 
 __all__ = ["main", "build_parser"]
 
@@ -275,52 +274,6 @@ def cmd_differential(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from .mining.reports import analyze_log
-    records = _load_records(Path(args.logfile))
-    report = analyze_log(records, timeout=args.session_timeout,
-                         top=args.top)
-    print(report.format())
-    return 0
-
-
-def cmd_export_dot(args: argparse.Namespace) -> int:
-    from .mining.export import bundle_table_to_dot, depgraph_to_dot
-    records = _load_records(Path(args.logfile))
-    sessions = sessionize(records)
-    if args.what == "depgraph":
-        graph = DependencyGraph(order=args.order).train(
-            page_sequences(sessions, min_length=2))
-        dot = depgraph_to_dot(graph, min_confidence=args.min_confidence,
-                              max_nodes=args.max_nodes)
-    else:
-        table = BundleMiner().mine_sessions(sessions)
-        dot = bundle_table_to_dot(table, max_pages=args.max_nodes)
-    if args.out:
-        Path(args.out).write_text(dot + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(dot)
-    return 0
-
-
-def cmd_index_pages(args: argparse.Namespace) -> int:
-    from .mining.adaptive import IndexPageSynthesizer
-    records = _load_records(Path(args.logfile))
-    sequences = page_sequences(sessionize(records), min_length=2)
-    synthesizer = IndexPageSynthesizer(
-        min_cooccurrence=args.min_cooccurrence)
-    suggestions = synthesizer.suggest(sequences, k=args.top)
-    if not suggestions:
-        print("no index-page candidates (try --min-cooccurrence 1)")
-        return 0
-    for i, s in enumerate(suggestions, 1):
-        print(f"index page candidate #{i} (cohesion {s.score:.0f}):")
-        for page in s.pages:
-            print(f"  {page}")
-    return 0
-
-
 def cmd_capacity(args: argparse.Namespace) -> int:
     from .core.system import build_policy, mine_components
     from .logs.workloads import make_workload
@@ -557,13 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_options(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("index-pages",
-                       help="suggest index pages (adaptive-site synthesis)")
-    p.add_argument("logfile")
-    p.add_argument("--min-cooccurrence", type=int, default=2)
-    p.add_argument("--top", type=int, default=5)
-    p.set_defaults(func=cmd_index_pages)
-
     p = sub.add_parser("capacity",
                        help="closed-loop capacity sweep on a preset workload")
     p.add_argument("preset", choices=sorted(WORKLOAD_PRESETS))
@@ -575,23 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backends", type=int, default=8)
     p.add_argument("--cache-mb", type=float, default=None)
     p.set_defaults(func=cmd_capacity)
-
-    p = sub.add_parser("analyze", help="website-usage report for a CLF log")
-    p.add_argument("logfile")
-    p.add_argument("--session-timeout", type=float, default=1800.0)
-    p.add_argument("--top", type=int, default=10)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("export-dot",
-                       help="export mined structures as Graphviz DOT")
-    p.add_argument("logfile")
-    p.add_argument("--what", choices=("depgraph", "bundles"),
-                   default="depgraph")
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--min-confidence", type=float, default=0.05)
-    p.add_argument("--max-nodes", type=int, default=60)
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.set_defaults(func=cmd_export_dot)
 
     def add_jobs_option(p):
         p.add_argument("--jobs", type=int, default=0,
@@ -630,8 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", choices=sorted(WORKLOAD_PRESETS),
                    default="synthetic")
     p.add_argument("--policies", nargs="+", choices=POLICY_NAMES,
-                   default=["wrr", "lard", "lard-r", "ext-lard-phttp",
-                            "prord"])
+                   default=list(DEFAULT_POLICIES))
     p.add_argument("--full", action="store_true",
                    help="paper scale instead of quick scale")
     p.add_argument("--jobs", type=int, default=2,

@@ -32,7 +32,7 @@ from ..mining.popularity import PopularityTracker, RankTable
 from ..mining.prefetch import PrefetchPredictor
 from ..policies.base import Policy
 from ..policies.extlard import ExtLARDPolicy
-from ..policies.lard import LARDPolicy, LARDReplicationPolicy
+from ..policies.lard import LARDPolicy
 from ..policies.prord import PRORDComponents, PRORDFeatures, PRORDPolicy
 from ..policies.replication import ReplicationEngine
 from ..policies.wrr import WRRPolicy
@@ -200,11 +200,11 @@ def mine_components(
 
 
 #: Policy configurations known to :func:`build_policy` — the paper's four
-#: comparison points plus the ablation variants of Fig. 9 and LARD/R.
+#: comparison points, Ext-LARD's forwarding variant and the ablation
+#: variants of Fig. 9.
 POLICY_NAMES = (
     "wrr",
     "lard",
-    "lard-r",
     "ext-lard-phttp",
     "ext-lard-fwd",
     "prord",
@@ -249,8 +249,6 @@ def build_policy(
         return WRRPolicy(), None
     if name == "lard":
         return LARDPolicy(), None
-    if name == "lard-r":
-        return LARDReplicationPolicy(), None
     if name == "ext-lard-phttp":
         return ExtLARDPolicy(mode="handoff"), None
     if name == "ext-lard-fwd":

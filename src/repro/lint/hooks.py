@@ -3,10 +3,10 @@
 The engine guarantees that attaching an observer (auditor, telemetry,
 tracing) cannot perturb a run — which holds only if every observer is
 pure observation.  These rules find the functions installed on an
-``on_event`` hook (by name convention or by assignment) and flag state
-writes into the engine/cluster, calls to known-mutating engine
-methods, and the same violations one call level deep in helpers the
-hook invokes.
+``on_event`` hook (by name convention, by assignment, or by passing
+them to ``Simulator.observe``) and flag state writes into the
+engine/cluster, calls to known-mutating engine methods, and the same
+violations one call level deep in helpers the hook invokes.
 """
 
 from __future__ import annotations
@@ -235,30 +235,39 @@ def _collect_hooks(ctx: FileContext) -> list[_Hook]:
         for fn in by_name.get(name, []):
             add(fn, f"named {name}")
 
-    # (b) by assignment to <anything>.on_event
+    def add_installed(value: ast.expr, site: ast.AST, how: str) -> None:
+        if isinstance(value, ast.Name):
+            for fn in by_name.get(value.id, []):
+                add(fn, how)
+        elif isinstance(value, ast.Attribute) and isinstance(
+            value.value, ast.Name
+        ):
+            # self._method / cls._method: resolve within the class
+            # enclosing the installation.
+            cls = ctx.enclosing(site, ast.ClassDef)
+            if isinstance(cls, ast.ClassDef):
+                method = class_methods.get(cls.name, {}).get(value.attr)
+                if method is not None:
+                    add(method, how)
+
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if not (
-                isinstance(target, ast.Attribute)
-                and target.attr == "on_event"
-            ):
-                continue
-            value = node.value
-            if isinstance(value, ast.Name):
-                for fn in by_name.get(value.id, []):
-                    add(fn, "assigned to .on_event")
-            elif isinstance(value, ast.Attribute) and isinstance(
-                value.value, ast.Name
-            ):
-                # self._method / cls._method: resolve within the class
-                # enclosing the assignment.
-                cls = ctx.enclosing(node, ast.ClassDef)
-                if isinstance(cls, ast.ClassDef):
-                    method = class_methods.get(cls.name, {}).get(value.attr)
-                    if method is not None:
-                        add(method, "assigned to .on_event")
+        # (b) by assignment to <anything>.on_event
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "on_event"
+                ):
+                    add_installed(node.value, node, "assigned to .on_event")
+        # (c) by registration: <anything>.observe(hook), one argument
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "observe"
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            add_installed(node.args[0], node, "passed to .observe")
     return list(hooks.values())
 
 

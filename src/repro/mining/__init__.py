@@ -1,6 +1,5 @@
 """Web-log mining substrate: popularity, bundles, navigation prediction."""
 
-from .adaptive import IndexPageSuggestion, IndexPageSynthesizer, cooccurrence_counts
 from .association import AprioriMiner, AssociationPredictor, AssociationRule
 from .bundles import BundleAccumulator, BundleMiner, BundleTable
 from .categorize import (
@@ -16,11 +15,9 @@ from .modelcache import ModelCache, cached_mine_models, mining_fingerprint
 from .popularity import PopularityTracker, RankTable
 from .ppm import PPMPredictor
 from .prefetch import PrefetchDecision, PrefetchPredictor, PrefetchStats
-from .reports import SiteUsageReport, analyze_log
 from .sequences import SequenceMiner, SequencePredictor, SequenceRule
 
 __all__ = [
-    "IndexPageSuggestion", "IndexPageSynthesizer", "cooccurrence_counts",
     "AprioriMiner", "AssociationPredictor", "AssociationRule",
     "BundleAccumulator", "BundleMiner", "BundleTable",
     "Categorization", "CategoryAccumulator", "CategoryProfile",
@@ -32,6 +29,5 @@ __all__ = [
     "PopularityTracker", "RankTable",
     "PPMPredictor",
     "PrefetchDecision", "PrefetchPredictor", "PrefetchStats",
-    "SiteUsageReport", "analyze_log",
     "SequenceMiner", "SequencePredictor", "SequenceRule",
 ]

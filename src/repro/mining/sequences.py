@@ -79,32 +79,6 @@ class SequenceMiner:
         rules.sort(key=lambda r: (-r.confidence, -r.support, r.prefix, r.next))
         return rules
 
-    def paths_to(
-        self,
-        sequences: Sequence[Sequence[str]],
-        target: str,
-        *,
-        min_length: int = 2,
-    ) -> list[tuple[tuple[str, ...], int]]:
-        """Frequent navigation paths *leading to* ``target``.
-
-        The Web Utilization Miner query the paper surveys (§2.2.1,
-        [11]): "analyzes the structure of the traversed paths of the
-        website users to extract sub-paths which lead to a target item
-        of interest".  Returns ``(path, support)`` pairs, each path
-        ending at ``target``, most frequent first.
-        """
-        if min_length < 2:
-            raise ValueError("min_length must be >= 2")
-        counts = self.ngram_counts(sequences)
-        out = [
-            (gram, count) for gram, count in counts.items()
-            if (len(gram) >= min_length and gram[-1] == target
-                and count >= self.min_support)
-        ]
-        out.sort(key=lambda e: (-e[1], -len(e[0]), e[0]))
-        return out
-
 
 class SequencePredictor:
     """Longest-suffix prediction over mined sequence rules."""

@@ -15,9 +15,10 @@ It bundles:
   / event-loop wall-clock.
 
 Attachment is pure observation, layered on the engine's ``on_event``
-hook exactly like the simulation auditor (the two chain), so a
-telemetered run's :class:`~repro.sim.stats.SimulationReport` is
-bit-identical to a bare run — the differential harness checks this.
+hook exactly like the simulation auditor (both join through
+``Simulator.observe``, in either order), so a telemetered run's
+:class:`~repro.sim.stats.SimulationReport` is bit-identical to a bare
+run — the differential harness checks this.
 
 :meth:`Telemetry.finalize` freezes everything into a picklable
 :class:`TelemetrySummary` that rides on
@@ -52,6 +53,11 @@ __all__ = [
 
 #: Default number of windows a run is divided into (before coalescing).
 DEFAULT_WINDOWS_PER_RUN = 60
+#: Timeline coalescing bound.
+MAX_WINDOWS = 240
+#: Histogram bucketing: a 1 µs floor and 5% buckets.
+HIST_MIN_S = 1e-6
+HIST_GROWTH = 1.05
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,32 +177,16 @@ def merge_telemetry(
 class Telemetry:
     """Per-run telemetry recorder (attach once, finalize once).
 
-    Parameters
-    ----------
-    window_s:
-        Timeline window width; ``None`` derives one sixtieth of the
-        run's measurement window at attach time (a pure function of the
-        run's configuration, so serial and pooled runs agree).
-    max_windows:
-        Timeline coalescing bound.
-    hist_min_s / hist_growth:
-        Histogram bucketing (defaults: 1 µs floor, 5% buckets).
+    The timeline's window is one sixtieth of the run's measurement
+    window, fixed at attach time (a pure function of the run's
+    configuration, so serial and pooled runs agree).
     """
 
-    def __init__(
-        self,
-        *,
-        window_s: float | None = None,
-        max_windows: int = 240,
-        hist_min_s: float = 1e-6,
-        hist_growth: float = 1.05,
-    ) -> None:
-        self._window_s = window_s
-        self._max_windows = max_windows
+    def __init__(self) -> None:
         self.response_hist = StreamingHistogram(
-            min_value=hist_min_s, growth=hist_growth)
+            min_value=HIST_MIN_S, growth=HIST_GROWTH)
         self.service_hist = StreamingHistogram(
-            min_value=hist_min_s, growth=hist_growth)
+            min_value=HIST_MIN_S, growth=HIST_GROWTH)
         self.profiler = PhaseProfiler()
         self.recorder: TimelineRecorder | None = None
         self.cluster: "ClusterSimulator | None" = None
@@ -209,11 +199,8 @@ class Telemetry:
         if self.cluster is not None:
             raise RuntimeError("a Telemetry instance attaches to one run")
         self.cluster = cluster
-        window = self._window_s
-        if window is None:
-            window = max(cluster.window_s, 1e-9) / DEFAULT_WINDOWS_PER_RUN
-        self.recorder = TimelineRecorder(
-            window, max_windows=self._max_windows)
+        window = max(cluster.window_s, 1e-9) / DEFAULT_WINDOWS_PER_RUN
+        self.recorder = TimelineRecorder(window, max_windows=MAX_WINDOWS)
         self.recorder.attach(cluster)
 
     # -- observation hooks (called by the cluster) -------------------------

@@ -180,9 +180,10 @@ class TimelineRecorder:
     """Samples one cluster run into bounded-memory windows.
 
     Attach via :meth:`attach` (normally done by
-    :class:`~repro.obs.telemetry.Telemetry`); the recorder chains onto
-    any previously-installed ``on_event`` hook (the auditor's, say), so
-    both observers coexist.
+    :class:`~repro.obs.telemetry.Telemetry`); the recorder joins the
+    engine's observers through
+    :meth:`~repro.sim.engine.Simulator.observe`, so it coexists with the
+    auditor in either attach order.
 
     Parameters
     ----------
@@ -218,14 +219,7 @@ class TimelineRecorder:
         self.cluster = cluster
         self._cursor = _Cursor(len(cluster.servers))
         self._server_completions = [0] * len(cluster.servers)
-        previous = cluster.sim.on_event
-        if previous is None:
-            cluster.sim.on_event = self._on_event
-        else:
-            def chained(time: float, _prev=previous) -> None:
-                _prev(time)
-                self._on_event(time)
-            cluster.sim.on_event = chained
+        cluster.sim.observe(self._on_event)
 
     # -- observation -------------------------------------------------------
 

@@ -1,8 +1,8 @@
-"""Request-distribution policies: WRR, LARD(+R), Ext-LARD-PHTTP, PRORD."""
+"""Request-distribution policies: WRR, LARD, Ext-LARD-PHTTP, PRORD."""
 
 from .base import ClusterView, Policy, PrefetchDirective, RoutingDecision
 from .extlard import ExtLARDPolicy
-from .lard import LARDPolicy, LARDReplicationPolicy
+from .lard import LARDPolicy
 from .prord import PRORDComponents, PRORDFeatures, PRORDPolicy
 from .replication import ReplicationEngine
 from .wrr import WRRPolicy
@@ -10,7 +10,7 @@ from .wrr import WRRPolicy
 __all__ = [
     "ClusterView", "Policy", "PrefetchDirective", "RoutingDecision",
     "ExtLARDPolicy",
-    "LARDPolicy", "LARDReplicationPolicy",
+    "LARDPolicy",
     "PRORDComponents", "PRORDFeatures", "PRORDPolicy",
     "ReplicationEngine",
     "WRRPolicy",

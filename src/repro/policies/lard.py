@@ -1,16 +1,11 @@
 """Locality-Aware Request Distribution — Pai et al. (ASPLOS'98).
 
-Two variants:
-
-* :class:`LARDPolicy` — the original single-target LARD.  Every request
-  is analysed and dispatched (one dispatcher contact per request); each
-  target path has one assigned backend, rebalanced when it saturates.
-  Connection semantics are HTTP/1.0-style (the setting LARD was designed
-  for): every request pays connection setup and a handoff — precisely
-  the per-request overhead the paper's §2.1 discussion turns on.
-* :class:`LARDReplicationPolicy` — LARD/R: a target may be served by a
-  *set* of backends; the set grows when all members are loaded and
-  shrinks when it has been stable for a while.
+:class:`LARDPolicy` is the original single-target LARD.  Every request
+is analysed and dispatched (one dispatcher contact per request); each
+target path has one assigned backend, rebalanced when it saturates.
+Connection semantics are HTTP/1.0-style (the setting LARD was designed
+for): every request pays connection setup and a handoff — precisely the
+per-request overhead the paper's §2.1 discussion turns on.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from __future__ import annotations
 from ..logs.records import Request
 from .base import Policy, RoutingDecision
 
-__all__ = ["LARDPolicy", "LARDReplicationPolicy"]
+__all__ = ["LARDPolicy"]
 
 
 class LARDPolicy(Policy):
@@ -38,13 +33,6 @@ class LARDPolicy(Policy):
         super().__init__()
         self._assignment: dict[str, int] = {}
 
-    def _rebalance_needed(self, server_id: int) -> bool:
-        """Pai et al.'s imbalance test, refined: a move must have a
-        materially less-loaded destination, otherwise re-homing a target
-        during cluster-wide overload only duplicates its disk work.
-        (Shared with PRORD — see :meth:`Policy.overloaded`.)"""
-        return self.overloaded(server_id)
-
     def route(self, request: Request) -> RoutingDecision:
         path = request.path
         target = self._assignment.get(path)
@@ -60,83 +48,3 @@ class LARDPolicy(Policy):
     def assignments(self) -> int:
         """Number of targets currently bound (for tests/reports)."""
         return len(self._assignment)
-
-
-class LARDReplicationPolicy(Policy):
-    """LARD with replication (LARD/R).
-
-    Each target maps to a server set.  A request goes to the
-    least-loaded member; when even that member is above ``T_high`` and
-    a below-``T_low`` backend exists (or load exceeds ``2*T_high``), the
-    least-loaded non-member joins the set.  Sets that have not grown for
-    ``shrink_after_s`` seconds drop their most-loaded member, bounding
-    replica sprawl.
-    """
-
-    name = "lard-r"
-    persistent_connections = False
-
-    def __init__(self, *, shrink_after_s: float = 20.0) -> None:
-        super().__init__()
-        if shrink_after_s <= 0:
-            raise ValueError("shrink_after_s must be positive")
-        self.shrink_after_s = shrink_after_s
-        self._server_sets: dict[str, set[int]] = {}
-        self._last_grown: dict[str, float] = {}
-
-    def route(self, request: Request) -> RoutingDecision:
-        path = request.path
-        servers = self.cluster.servers
-        now = self.cluster.now
-        members = self._server_sets.get(path)
-        loads = self._loads
-        all_up = loads is not None and not self._downs[0]  # type: ignore[index]
-        if members and not all_up:
-            # Drop crashed members (skipped while everything is up —
-            # the intersection would be a per-request no-op set build).
-            members &= {s.server_id for s in servers if s.up}
-        if not members:
-            target = self.least_loaded()
-            self._server_sets[path] = {target}
-            self._last_grown[path] = now
-            cached = self._dispatch_decisions
-            if cached is not None:
-                return cached[target]
-            return RoutingDecision(server_id=target, dispatched=True)
-
-        # least_loaded is order-independent ((load, id) keys), so the
-        # member set goes in as-is.
-        target = self.least_loaded(members)
-        if all_up:
-            load = loads[target]
-            t_high = self._t_high
-            overloaded = load > 2 * t_high or (
-                load > t_high and min(loads) < self._t_low
-            )
-        else:
-            params = self.cluster.params
-            load = servers[target].load
-            overloaded = load > 2 * params.lard_t_high or (
-                load > params.lard_t_high
-                and any(s.load < params.lard_t_low for s in servers)
-            )
-        if overloaded and len(members) < len(servers):
-            joiner = self.least_loaded(
-                [i for i in range(len(servers)) if i not in members]
-            )
-            members.add(joiner)
-            self._last_grown[path] = now
-            target = joiner
-        elif (len(members) > 1
-              and now - self._last_grown.get(path, now) > self.shrink_after_s):
-            victim = max(members, key=lambda i: (servers[i].load, i))
-            if victim != target:
-                members.discard(victim)
-            self._last_grown[path] = now
-        cached = self._dispatch_decisions
-        if cached is not None:
-            return cached[target]
-        return RoutingDecision(server_id=target, dispatched=True)
-
-    def replica_count(self, path: str) -> int:
-        return len(self._server_sets.get(path, ()))

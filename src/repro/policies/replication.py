@@ -44,6 +44,9 @@ class ReplicationEngine:
         Popularity source; a fresh decayed tracker by default.  Seed it
         with an offline :class:`RankTable` prior to replicate sensibly
         from the first round.
+    prior:
+        That prior for the default tracker; a caller passing its own
+        ``tracker`` seeds it instead, so giving both is an error.
     interval_s / t1:
         Override Algorithm 3's period and top threshold (defaults come
         from ``SimulationParams``, whose bounds they must meet: a
@@ -74,7 +77,12 @@ class ReplicationEngine:
             )
         if t1 is not None and not 0.0 < t1 <= 1.0:
             raise ValueError(f"t1 must be in (0, 1], got {t1}")
-        self._tracker = tracker or PopularityTracker(prior, half_life=60.0)
+        if tracker is None:
+            tracker = PopularityTracker(prior, half_life=60.0)
+        elif prior is not None:
+            raise ValueError("pass tracker or prior, not both "
+                             "(seed the tracker with the prior)")
+        self._tracker = tracker
         self._interval_override = interval_s
         self._t1_override = t1
         self.max_round_fraction = max_round_fraction

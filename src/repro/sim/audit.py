@@ -134,11 +134,17 @@ class SimulationAuditor:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, cluster: "ClusterSimulator") -> None:
-        """Bind to a cluster and hook its engine (done by the cluster)."""
+        """Bind to a cluster: it feeds this auditor its arrivals and
+        completions, and its engine every event.  The cluster's
+        ``auditor=`` argument calls this; so may a caller, before the
+        run starts."""
         if self.cluster is not None:
             raise RuntimeError("a SimulationAuditor attaches to one run")
+        if cluster.auditor is not None:
+            raise RuntimeError("the cluster already has an auditor")
         self.cluster = cluster
-        cluster.sim.on_event = self._on_event
+        cluster.auditor = self
+        cluster.sim.observe(self._on_event)
 
     # -- observation hooks (called by the cluster) -------------------------
 

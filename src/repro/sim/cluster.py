@@ -388,13 +388,12 @@ class ClusterSimulator:
             self._t0 = 0.0
         self._ran = False
         self.tracer = tracer
-        self.auditor = auditor
+        #: set by :meth:`SimulationAuditor.attach`
+        self.auditor: "SimulationAuditor | None" = None
         if auditor is not None:
             auditor.attach(self)
         self.telemetry = telemetry
         if telemetry is not None:
-            # After the auditor: the recorder chains onto any hook
-            # already installed, so both observers see every event.
             telemetry.attach(self)
         self.failures = failures
         if failures is not None:

@@ -65,8 +65,8 @@ __all__ = [
     "run_differential_suite",
 ]
 
-#: The paper's five comparison policies (Figs. 6-8).
-DEFAULT_POLICIES = ("wrr", "lard", "lard-r", "ext-lard-phttp", "prord")
+#: The paper's four comparison policies (Figs. 6-8).
+DEFAULT_POLICIES = ("wrr", "lard", "ext-lard-phttp", "prord")
 
 
 @dataclass(frozen=True, slots=True)

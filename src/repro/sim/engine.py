@@ -56,9 +56,26 @@ class Simulator:
         #: with the event's time.  Pure observation — the hook must not
         #: schedule events or mutate state, so attaching one (the
         #: simulation auditor does) cannot perturb a run.  Install hooks
-        #: *before* calling :meth:`run`: the loop binds the hook once on
-        #: entry.
+        #: with :meth:`observe`, *before* calling :meth:`run`: the loop
+        #: binds the hook once on entry.
         self.on_event: Callable[[float], None] | None = None
+
+    def observe(self, hook: Callable[[float], None]) -> None:
+        """Add an observation hook, run after any already installed.
+
+        Every observer attaches here, so observers coexist in any
+        attach order and each sees every event.
+        """
+        previous = self.on_event
+        if previous is None:
+            self.on_event = hook
+            return
+
+        def chained(time: float) -> None:
+            previous(time)
+            hook(time)
+
+        self.on_event = chained
 
     def schedule_at(
         self, time: float, fn: Callable[..., None], arg: object = None

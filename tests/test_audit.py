@@ -10,6 +10,7 @@ from repro.experiments.common import ExperimentScale, loaded_workload
 from repro.experiments.runner import Cell, run_grid
 from repro.core.system import run_policy
 from repro.logs import Request, Trace
+from repro.obs import TimelineRecorder
 from repro.policies import LARDPolicy, PRORDPolicy
 from repro.policies.prord import PRORDComponents
 from repro.sim import (
@@ -19,6 +20,7 @@ from repro.sim import (
     RequestTracer,
     SimulationAuditor,
 )
+from repro.sim.differential import DEFAULT_POLICIES
 
 #: Tiny but non-trivial scale: seconds total for the whole module.
 MICRO = ExperimentScale(
@@ -30,8 +32,6 @@ MICRO = ExperimentScale(
     think_time_mean=0.15,
     max_session_pages=6,
 )
-
-FIVE_POLICIES = ("wrr", "lard", "lard-r", "ext-lard-phttp", "prord")
 
 
 def micro_workload():
@@ -75,9 +75,52 @@ class TestConstruction:
         with pytest.raises(RuntimeError, match="not attached"):
             SimulationAuditor().check_now()
 
+    def test_one_auditor_per_cluster(self):
+        cluster, _ = audited_cluster()
+        with pytest.raises(RuntimeError, match="already has an auditor"):
+            SimulationAuditor().attach(cluster)
+
+
+class TestAttachedByCaller:
+    """Observers attached to a built cluster, not passed to it."""
+
+    def cluster(self):
+        workload = micro_workload()
+        params = SimulationParams(n_backends=MICRO.n_backends,
+                                  cache_bytes=1 << 20)
+        return ClusterSimulator(workload.trace, LARDPolicy(), params,
+                                warmup_fraction=0.0)
+
+    def test_direct_attach_ends_clean(self):
+        cluster = self.cluster()
+        auditor = SimulationAuditor()
+        auditor.attach(cluster)
+        summary = cluster.run().audit
+        assert summary is not None and summary.clean
+        assert summary.injected == summary.completed == len(cluster.trace)
+
+    def test_recorder_and_auditor_in_either_order(self):
+        timelines = []
+        for recorder_first in (True, False):
+            cluster = self.cluster()
+            recorder = TimelineRecorder(0.05)
+            auditor = SimulationAuditor()
+            observers = ((recorder, auditor) if recorder_first
+                         else (auditor, recorder))
+            for observer in observers:
+                observer.attach(cluster)
+            assert cluster.run().audit.clean
+            timeline = recorder.finalize()
+            events = cluster.sim.events_processed
+            assert auditor.events_seen == events
+            assert timeline.totals()["events"] == events
+            timelines.append(timeline)
+        assert len(timelines[0]) > 1
+        assert timelines[0] == timelines[1]
+
 
 class TestCleanRuns:
-    @pytest.mark.parametrize("policy_name", FIVE_POLICIES)
+    @pytest.mark.parametrize("policy_name", DEFAULT_POLICIES)
     def test_policy_clean_and_bit_identical(self, policy_name):
         workload = micro_workload()
 
@@ -225,7 +268,7 @@ class TestGridAudit:
     def test_grid_audit_clean_and_identical(self):
         workload = micro_workload()
         cells = [Cell(workload=workload.name, policy=p)
-                 for p in FIVE_POLICIES]
+                 for p in DEFAULT_POLICIES]
         kwargs = dict(workloads={workload.name: workload})
         plain = run_grid(cells, MICRO, jobs=0, **kwargs)
         audited = run_grid(cells, MICRO, jobs=0, audit=True, **kwargs)

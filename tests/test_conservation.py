@@ -14,7 +14,6 @@ from repro.logs import Request, Trace
 from repro.policies import (
     ExtLARDPolicy,
     LARDPolicy,
-    LARDReplicationPolicy,
     PRORDPolicy,
     WRRPolicy,
 )
@@ -51,8 +50,7 @@ def traces(draw):
 
 
 POLICY_FACTORIES = [
-    WRRPolicy, LARDPolicy, LARDReplicationPolicy, ExtLARDPolicy,
-    PRORDPolicy,
+    WRRPolicy, LARDPolicy, ExtLARDPolicy, PRORDPolicy,
 ]
 
 

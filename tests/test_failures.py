@@ -7,7 +7,6 @@ from repro.logs import Request, SiteSpec, Trace, TrafficSpec, build_site
 from repro.policies import (
     ExtLARDPolicy,
     LARDPolicy,
-    LARDReplicationPolicy,
     PRORDPolicy,
     WRRPolicy,
 )
@@ -75,8 +74,7 @@ class TestServerFailure:
 
 
 @pytest.mark.parametrize("policy_cls", [
-    WRRPolicy, LARDPolicy, LARDReplicationPolicy, ExtLARDPolicy,
-    PRORDPolicy,
+    WRRPolicy, LARDPolicy, ExtLARDPolicy, PRORDPolicy,
 ])
 class TestFailover:
     def test_no_requests_lost_and_down_server_avoided(self, policy_cls):

@@ -7,7 +7,6 @@ from repro.logs import Request
 from repro.policies import (
     ExtLARDPolicy,
     LARDPolicy,
-    LARDReplicationPolicy,
     PRORDComponents,
     PRORDFeatures,
     PRORDPolicy,
@@ -143,40 +142,6 @@ class TestLARD:
 
     def test_not_persistent(self):
         assert LARDPolicy.persistent_connections is False
-
-
-class TestLARDReplication:
-    def test_set_grows_under_load(self):
-        c = StubCluster(3, params=SimulationParams(
-            n_backends=3, lard_t_low=2, lard_t_high=4))
-        p = LARDReplicationPolicy()
-        p.bind(c)
-        c.set_loads(0, 1, 1)
-        assert p.route(req("/x")).server_id == 0
-        assert p.replica_count("/x") == 1
-        c.set_loads(9, 1, 1)  # member overloaded, idle servers exist
-        d = p.route(req("/x"))
-        assert d.server_id in (1, 2)
-        assert p.replica_count("/x") == 2
-
-    def test_set_shrinks_after_stability(self):
-        c = StubCluster(3, params=SimulationParams(
-            n_backends=3, lard_t_low=2, lard_t_high=4))
-        p = LARDReplicationPolicy(shrink_after_s=5.0)
-        p.bind(c)
-        c.set_loads(0, 1, 1)
-        p.route(req("/x"))
-        c.set_loads(9, 1, 1)
-        p.route(req("/x"))
-        assert p.replica_count("/x") == 2
-        c.set_loads(1, 1, 1)
-        c.now = 100.0
-        p.route(req("/x"))
-        assert p.replica_count("/x") == 1
-
-    def test_invalid_shrink(self):
-        with pytest.raises(ValueError):
-            LARDReplicationPolicy(shrink_after_s=0)
 
 
 class TestExtLARD:

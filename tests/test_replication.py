@@ -136,6 +136,21 @@ class TestRounds:
         assert engine.run_round() == 0
 
 
+class TestTrackerArgument:
+    def test_callers_empty_tracker_is_used(self):
+        # An empty tracker has len() == 0: it must still be the one
+        # the engine feeds, not swapped for a default.
+        tracker = PopularityTracker(half_life=5.0)
+        engine = ReplicationEngine(tracker)
+        engine.observe("/a", 1.0)
+        assert len(tracker) == 1
+
+    def test_tracker_and_prior_together_rejected(self):
+        prior = RankTable({"/hot": 10})
+        with pytest.raises(ValueError, match="prior"):
+            ReplicationEngine(PopularityTracker(prior), prior=prior)
+
+
 class TestSeededPrior:
     def test_prior_drives_first_round(self):
         prior = RankTable({"/hot": 100, "/cold": 1})

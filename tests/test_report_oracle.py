@@ -1,7 +1,7 @@
 """Tier-1 slice of the committed report oracle (``tests/report_oracle.py``).
 
 Checks all six mined-model fingerprints and the ``lard`` and ``prord``
-reports on ``synthetic``; CI checks all 27 reports with
+reports on ``synthetic``; CI checks all 24 reports with
 ``python -m tests.report_oracle``.
 """
 
