@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .core.config import SimulationParams
-from .core.system import POLICY_NAMES, mine_components, run_policy
+from .core.system import POLICY_NAMES, build_policy, mine_components, run_policy
 from .logs.clf import CLFSource, ParseStats
 from .logs.records import LogRecord
 from .logs.sessions import trace_from_records
@@ -275,8 +275,6 @@ def cmd_differential(args: argparse.Namespace) -> int:
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
-    from .core.system import build_policy, mine_components
-    from .logs.workloads import make_workload
     from .sim.closedloop import run_closed_loop
     from .logs.synthetic import TrafficSpec
     params = _params_from_args(args)

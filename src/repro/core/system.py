@@ -432,10 +432,7 @@ class PRORDSystem:
 
     @property
     def mining(self) -> MiningResult:
-        return self.models.runtime(self.params)
-
-    def _fresh_mining(self) -> MiningResult:
-        """Per-run mining state over the shared mined models."""
+        """Fresh per-run mining state over the shared mined models."""
         return self.models.runtime(self.params)
 
     def run(
@@ -450,7 +447,7 @@ class PRORDSystem:
     ) -> SimulationResult:
         mining = None
         if policy_name in MINING_POLICY_NAMES:
-            mining = self._fresh_mining()
+            mining = self.mining
         return run_policy(
             self.workload, policy_name, self.params,
             mining=mining,

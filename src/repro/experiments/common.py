@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..core.config import SimulationParams
 from ..logs.workloads import Workload, make_workload
 from ..sim.cluster import SimulationResult
 
@@ -28,7 +27,6 @@ __all__ = [
     "FULL",
     "BASE_SEEDS",
     "loaded_workload",
-    "run_comparison",
     "format_table",
     "gain",
 ]
@@ -119,34 +117,6 @@ def loaded_workload(
     if seed_offset is not None:
         kwargs["seed"] = BASE_SEEDS[name] + seed_offset
     return make_workload(name, **kwargs)
-
-
-def run_comparison(
-    workload: Workload,
-    policy_names: Sequence[str],
-    scale: ExperimentScale,
-    *,
-    params: SimulationParams | None = None,
-    cache_fraction: float | None = None,
-    jobs: int = 0,
-    audit: bool = False,
-) -> dict[str, SimulationResult]:
-    """Run each policy over the same workload; returns name → result.
-
-    The workload is mined at most once (one :class:`MinedModels` pass
-    shared by every mining policy, each getting fresh per-run state);
-    ``jobs >= 2`` fans the policy runs out over a process pool with
-    results identical to the serial default.
-    """
-    from .runner import Cell, run_grid  # deferred: runner imports common
-    cells = [
-        Cell(workload=workload.name, policy=name,
-             cache_fraction=cache_fraction)
-        for name in policy_names
-    ]
-    out = run_grid(cells, scale, jobs=jobs, params=params,
-                   workloads={workload.name: workload}, audit=audit)
-    return {cr.cell.policy: cr.result for cr in out}
 
 
 def gain(results: Mapping[str, SimulationResult],

@@ -83,6 +83,3 @@ def main(scale: ExperimentScale = QUICK, *, jobs: int = 0,
         table += "\n" + line
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,6 +82,3 @@ def main(scale: ExperimentScale = QUICK, *, jobs: int = 0,
     print(table)
     return table
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,62 +1,44 @@
 """Run every experiment and emit a combined report.
 
-``python -m repro.experiments.report [--full]`` regenerates all the
-paper's tables and figures at the chosen scale and prints them; the
-output is the basis of EXPERIMENTS.md.
+``repro report [--full]`` regenerates all the paper's tables and
+figures at the chosen scale and prints them; the output is the basis of
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from pathlib import Path
 
 from . import fig6, fig7, fig8, fig9, table1
-from .common import FULL, QUICK, ExperimentScale
-from .export import write_rows
+from .common import QUICK, ExperimentScale
 
-__all__ = ["run_all", "main"]
+__all__ = ["run_all"]
 
 
 def run_all(
     scale: ExperimentScale = QUICK,
     *,
-    csv_dir: Path | str | None = None,
     jobs: int = 0,
     audit: bool = False,
     model_cache=None,
 ) -> str:
     """Run Table 1 + Figs. 6–9; returns the combined report text.
 
-    With ``csv_dir``, each figure's raw rows are also written as CSV
-    (``fig6.csv`` … ``fig9.csv``) for external plotting.  ``jobs``
-    fans each figure's grid out over that many worker processes
-    (``0`` = serial) without changing any number in the report.
-    ``audit`` attaches the strict simulation auditor to every run —
-    also without changing any number (the hook is pure observation).
-    ``model_cache`` (a directory path or
+    ``jobs`` fans each figure's grid out over that many worker
+    processes (``0`` = serial) without changing any number in the
+    report.  ``audit`` attaches the strict simulation auditor to every
+    run — also without changing any number (the hook is pure
+    observation).  ``model_cache`` (a directory path or
     :class:`~repro.mining.modelcache.ModelCache`) persists the mining
     pass across invocations — again without changing any number.
     """
     sections: list[str] = []
     t0 = time.monotonic()
     sections.append(table1.main())
-    runners = {
-        fig6: fig6.run_fig6, fig7: fig7.run_fig7,
-        fig8: fig8.run_fig8, fig9: fig9.run_fig9,
-    }
     for module in (fig6, fig7, fig8, fig9):
         start = time.monotonic()
-        if csv_dir is not None:
-            rows = runners[module](scale, jobs=jobs, audit=audit,
-                                   model_cache=model_cache)
-            name = module.__name__.rsplit(".", 1)[-1]
-            path = write_rows(rows, Path(csv_dir) / f"{name}.csv")
-            sections.append(f"[wrote {path}]")
-            print(f"[wrote {path}]")
-        else:
-            sections.append(module.main(scale, jobs=jobs, audit=audit,
-                                        model_cache=model_cache))
+        sections.append(module.main(scale, jobs=jobs, audit=audit,
+                                    model_cache=model_cache))
         timing = f"[{module.__name__} took {time.monotonic() - start:.1f} s]"
         print(timing)
         sections.append(timing)
@@ -67,23 +49,3 @@ def run_all(
     print(footer)
     sections.append(footer)
     return "\n\n".join(sections)
-
-
-def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    scale = FULL if "--full" in argv else QUICK
-    csv_dir = None
-    if "--csv-dir" in argv:
-        csv_dir = argv[argv.index("--csv-dir") + 1]
-    jobs = 0
-    if "--jobs" in argv:
-        jobs = int(argv[argv.index("--jobs") + 1])
-    model_cache = None
-    if "--model-cache" in argv:
-        model_cache = argv[argv.index("--model-cache") + 1]
-    run_all(scale, csv_dir=csv_dir, jobs=jobs, audit="--audit" in argv,
-            model_cache=model_cache)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

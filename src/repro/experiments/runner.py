@@ -15,19 +15,14 @@ executes such grids with two structural guarantees:
    :class:`concurrent.futures.ProcessPoolExecutor` fan-out produces
    results bit-identical to the in-process loop (``jobs=0``), in cell
    order.
-
-The grid also records per-cell wall-clock, feeding the machine-readable
-``BENCH_experiments.json`` perf artifact (:func:`write_bench_json`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..core.config import SimulationParams
@@ -41,16 +36,7 @@ from ..mining.modelcache import ModelCache, cached_mine_models
 from ..sim.cluster import SimulationResult
 from .common import ExperimentScale, loaded_workload
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "Cell",
-    "CellResult",
-    "run_grid",
-    "bench_payload",
-    "read_bench_payload",
-    "write_bench_json",
-    "resolve_jobs",
-]
+__all__ = ["Cell", "CellResult", "run_grid", "resolve_jobs"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,8 +205,7 @@ def run_grid(
         count.
     workloads:
         Pre-built workloads keyed by cell ``workload`` name, bypassing
-        :func:`loaded_workload` (used by :func:`run_comparison`, which
-        receives an already-generated workload).
+        :func:`loaded_workload`.
     audit:
         Attach a strict :class:`~repro.sim.audit.SimulationAuditor` to
         every cell's run.  The audit hook is pure observation, so the
@@ -255,98 +240,3 @@ def run_grid(
         ) as pool:
             return list(pool.map(_run_in_worker, cells))
     return [_execute_cell(ctx, cell) for cell in cells]
-
-
-# -- perf artifact -----------------------------------------------------------
-
-#: Current bench artifact schema.  v2 adds per-cell ``p95_response_ms``,
-#: ``load_imbalance`` and (for telemetered runs) ``phase_timings``;
-#: :func:`read_bench_payload` upgrades v1 files in place.
-BENCH_SCHEMA = "prord-bench-experiments/v2"
-_BENCH_SCHEMA_V1 = "prord-bench-experiments/v1"
-
-#: Cell keys v2 guarantees; the v1 shim fills the missing ones with None.
-_V2_CELL_KEYS = ("p95_response_ms", "load_imbalance", "phase_timings")
-
-
-def bench_payload(
-    results: Sequence[CellResult],
-    *,
-    label: str | None = None,
-) -> dict:
-    """Machine-readable per-cell perf record (wall-clock, throughput, hits)."""
-    cells = []
-    for r in results:
-        cell = {
-            "workload": r.cell.workload,
-            "policy": r.cell.policy,
-            "n_backends": r.result.n_backends,
-            "cache_fraction": r.cache_fraction,
-            "seed_offset": r.cell.seed_offset,
-            "wall_clock_s": round(r.wall_clock_s, 6),
-            "throughput_rps": r.result.throughput_rps,
-            "hit_rate": r.result.hit_rate,
-            "mean_response_ms": r.result.mean_response_s * 1e3,
-            "p95_response_ms": r.result.report.p95_response_s * 1e3,
-            "load_imbalance": r.result.report.load_imbalance,
-            "completed": r.result.report.completed,
-            "dispatches": r.result.report.dispatches,
-            "phase_timings": None,
-        }
-        telemetry = r.result.telemetry
-        if telemetry is not None:
-            cell["phase_timings"] = {
-                name: {
-                    "wall_s": round(t.wall_s, 6),
-                    "calls": t.calls,
-                    "units": t.units,
-                }
-                for name, t in telemetry.phases
-            }
-        cells.append(cell)
-    return {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "total_wall_clock_s": round(
-            sum(r.wall_clock_s for r in results), 6),
-        "cells": cells,
-    }
-
-
-def read_bench_payload(source: Path | str | Mapping) -> dict:
-    """Load a bench artifact, upgrading v1 files to the v2 cell shape.
-
-    v1 cells predate ``p95_response_ms`` / ``load_imbalance`` /
-    ``phase_timings``; the shim fills them with ``None`` so consumers
-    can rely on the v2 keys regardless of which writer produced the
-    file.  Unknown schemas raise :class:`ValueError`.
-    """
-    if isinstance(source, Mapping):
-        payload = dict(source)
-    else:
-        payload = json.loads(Path(source).read_text())
-    schema = payload.get("schema")
-    if schema == BENCH_SCHEMA:
-        return payload
-    if schema == _BENCH_SCHEMA_V1:
-        payload["schema"] = BENCH_SCHEMA
-        payload["cells"] = [
-            {**{key: None for key in _V2_CELL_KEYS}, **cell}
-            for cell in payload.get("cells", [])
-        ]
-        return payload
-    raise ValueError(f"unknown bench schema {schema!r}")
-
-
-def write_bench_json(
-    results: Sequence[CellResult],
-    path: Path | str,
-    *,
-    label: str | None = None,
-) -> Path:
-    """Write :func:`bench_payload` to ``path``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(bench_payload(results, label=label),
-                               indent=2) + "\n")
-    return path

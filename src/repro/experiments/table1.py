@@ -38,6 +38,3 @@ def main(params: SimulationParams | None = None) -> str:
     print(out)
     return out
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

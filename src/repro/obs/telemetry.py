@@ -210,7 +210,6 @@ class Telemetry:
         cluster = self.cluster
         assert cluster is not None and self.recorder is not None
         self._completions += 1
-        self.recorder.note_completion(server_id)
         self.response_hist.add(cluster.sim.now - req.arrival)
         params = cluster.params
         if req.dynamic:

@@ -156,14 +156,13 @@ class Timeline:
 class _Cursor:
     """Last-sampled cumulative counters (deltas are taken against it)."""
 
-    __slots__ = ("events", "completions", "dispatches", "handoffs",
+    __slots__ = ("events", "dispatches", "handoffs",
                  "connections", "frontend_busy", "flows",
                  "cpu_busy", "disk_busy", "hits", "misses",
-                 "server_completions")
+                 "completions")
 
     def __init__(self, n_servers: int) -> None:
         self.events = 0
-        self.completions = 0
         self.dispatches = 0
         self.handoffs = 0
         self.connections = 0
@@ -173,7 +172,7 @@ class _Cursor:
         self.disk_busy = [0.0] * n_servers
         self.hits = [0] * n_servers
         self.misses = [0] * n_servers
-        self.server_completions = [0] * n_servers
+        self.completions = [0] * n_servers
 
 
 class TimelineRecorder:
@@ -207,8 +206,6 @@ class TimelineRecorder:
         self._windows: list[TimelineWindow] = []
         self._cursor: _Cursor | None = None
         self._window_start = 0.0
-        self._window_completions = 0
-        self._server_completions: list[int] = []
         self._finalized = False
 
     # -- wiring ------------------------------------------------------------
@@ -218,15 +215,9 @@ class TimelineRecorder:
             raise RuntimeError("a TimelineRecorder attaches to one run")
         self.cluster = cluster
         self._cursor = _Cursor(len(cluster.servers))
-        self._server_completions = [0] * len(cluster.servers)
         cluster.sim.observe(self._on_event)
 
     # -- observation -------------------------------------------------------
-
-    def note_completion(self, server_id: int) -> None:
-        """Count one completed request (called by the telemetry layer)."""
-        self._window_completions += 1
-        self._server_completions[server_id] += 1
 
     def _on_event(self, time: float) -> None:
         while time >= self._window_start + self.window_s:
@@ -254,6 +245,7 @@ class TimelineRecorder:
             snap.disk_busy[i] = server.disk.cumulative_busy_s
             snap.hits[i] = server.cache.hits
             snap.misses[i] = server.cache.misses
+            snap.completions[i] = server.completed
         return snap
 
     def _close_window(self) -> None:
@@ -275,7 +267,7 @@ class TimelineRecorder:
                 cache_bytes=server.cache.resident_bytes,
                 cache_hits=now.hits[i] - cursor.hits[i],
                 cache_misses=now.misses[i] - cursor.misses[i],
-                completions=self._server_completions[i],
+                completions=now.completions[i] - cursor.completions[i],
             )
             for i, server in enumerate(cluster.servers)
         )
@@ -283,7 +275,7 @@ class TimelineRecorder:
             start=self._window_start,
             width=self.window_s,
             events=now.events - cursor.events,
-            completions=self._window_completions,
+            completions=sum(s.completions for s in servers),
             dispatches=now.dispatches - cursor.dispatches,
             handoffs=now.handoffs - cursor.handoffs,
             connections=now.connections - cursor.connections,
@@ -293,8 +285,6 @@ class TimelineRecorder:
         ))
         self._cursor = now
         self._window_start += self.window_s
-        self._window_completions = 0
-        self._server_completions = [0] * len(cluster.servers)
         if len(self._windows) >= self.max_windows:
             self._coalesce()
 
@@ -315,11 +305,11 @@ class TimelineRecorder:
         if self._finalized:
             raise RuntimeError("timeline already finalized")
         self._finalized = True
-        cluster = self.cluster
-        if cluster is None:
+        cluster, cursor = self.cluster, self._cursor
+        if cluster is None or cursor is None:
             raise RuntimeError("recorder is not attached to a cluster")
-        if (cluster.sim.now > self._window_start
-                or self._window_completions):
+        pending = [s.completed for s in cluster.servers] != cursor.completions
+        if cluster.sim.now > self._window_start or pending:
             # Shrink the last window to the simulated span it covers.
             end = max(cluster.sim.now, self._window_start)
             saved = self.window_s

@@ -26,7 +26,6 @@ from ..logs.site import Website
 from ..logs.synthetic import TraceGenerator, TrafficSpec
 from ..policies.base import Policy
 from .cluster import ClusterSimulator, Replicator, SimulationResult
-from .tracing import RequestTracer
 
 __all__ = ["ClosedLoopDriver", "run_closed_loop"]
 
@@ -47,7 +46,7 @@ class ClosedLoopDriver:
     ----------
     site:
         The website model users navigate.
-    policy / params / replicator / tracer:
+    policy / params / replicator:
         As for :class:`ClusterSimulator`.
     concurrency:
         Number of simultaneously active sessions (the closed-loop load).
@@ -73,7 +72,6 @@ class ClosedLoopDriver:
         spec: TrafficSpec | None = None,
         seed: int = 11,
         replicator: Replicator | None = None,
-        tracer: RequestTracer | None = None,
         warmup_fraction: float = 0.2,
     ) -> None:
         if concurrency < 1:
@@ -92,7 +90,6 @@ class ClosedLoopDriver:
             replicator=replicator,
             warmup_fraction=warmup_fraction,
             window_s=duration_s,
-            tracer=tracer,
             catalog=self._sizes,
         )
         self._rng = np.random.default_rng(seed)

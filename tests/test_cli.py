@@ -5,6 +5,7 @@ import gzip
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import FULL, QUICK
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +184,31 @@ class TestTable1Command:
         out = capsys.readouterr().out
         assert rc == 0
         assert "TCP handoff latency" in out
+
+
+class TestExperimentCommands:
+    """``repro report`` and ``repro figN`` are the one entry point to the
+    paper's results: their options reach the runners unchanged."""
+
+    @pytest.mark.parametrize("command,target", [
+        ("report", "repro.experiments.report.run_all"),
+        ("fig7", "repro.experiments.fig7.main"),
+    ], ids=["report", "fig7"])
+    @pytest.mark.parametrize("options,scale,kwargs", [
+        ([], QUICK, {"jobs": 0, "audit": False, "model_cache": None}),
+        (["--full", "--jobs", "3", "--audit", "--model-cache", "mc"],
+         FULL, {"jobs": 3, "audit": True, "model_cache": "mc"}),
+    ], ids=["defaults", "all-options"])
+    def test_options_passed_through(self, monkeypatch, command, target,
+                                    options, scale, kwargs):
+        calls = []
+        monkeypatch.setattr(target,
+                            lambda *args, **kw: calls.append((args, kw)))
+        assert main([command, *options]) == 0
+        assert calls == [((scale,), kwargs)]
+
+    def test_csv_dir_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--csv-dir", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv-dir" in capsys.readouterr().err

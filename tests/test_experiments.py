@@ -9,10 +9,11 @@ flips a comparison fails CI.  Absolute numbers are not asserted.
 import pytest
 
 from repro.experiments import (
+    Cell,
     ExperimentScale,
     format_table,
     loaded_workload,
-    run_comparison,
+    run_grid,
     run_table1,
 )
 
@@ -29,10 +30,18 @@ TINY = ExperimentScale(
 )
 
 
+def run_policies(workload, policies, scale, cache_fraction=None):
+    """Each policy over the same workload (one mining pass): name → result."""
+    cells = [Cell(workload.name, p, cache_fraction=cache_fraction)
+             for p in policies]
+    out = run_grid(cells, scale, workloads={workload.name: workload})
+    return {r.cell.policy: r.result for r in out}
+
+
 @pytest.fixture(scope="module")
 def synthetic_results():
     workload = loaded_workload("synthetic", TINY)
-    return run_comparison(
+    return run_policies(
         workload, ("wrr", "lard", "ext-lard-phttp", "prord"), TINY)
 
 
@@ -82,10 +91,10 @@ class TestFig7Shape:
 class TestFig8Shape:
     def test_lard_prord_converge_with_memory(self):
         workload = loaded_workload("synthetic", TINY)
-        small = run_comparison(workload, ("lard", "prord"), TINY,
-                               cache_fraction=0.1)
-        large = run_comparison(workload, ("lard", "prord"), TINY,
-                               cache_fraction=1.0)
+        small = run_policies(workload, ("lard", "prord"), TINY,
+                             cache_fraction=0.1)
+        large = run_policies(workload, ("lard", "prord"), TINY,
+                             cache_fraction=1.0)
 
         # At full memory both policies approach perfect hit rates.
         assert large["lard"].hit_rate > 0.9
@@ -98,7 +107,7 @@ class TestFig8Shape:
 class TestFig9Shape:
     def test_enhancements_complementary(self):
         workload = loaded_workload("cs-department", TINY)
-        results = run_comparison(
+        results = run_policies(
             workload,
             ("ext-lard-phttp", "lard-bundle", "lard-prefetch-nav", "prord"),
             TINY,

@@ -101,6 +101,11 @@ class TestRecorder:
         assert totals["dispatches"] == cluster.metrics.dispatches
         assert totals["handoffs"] == cluster.metrics.handoffs
         assert totals["connections"] == cluster.metrics.connections
+        # A recorder attached without Telemetry still sees completions.
+        assert totals["completions"] == cluster.metrics.completed > 0
+        for sid, server in enumerate(cluster.servers):
+            assert sum(w.servers[sid].completions
+                       for w in timeline.windows) == server.completed
 
     def test_busy_time_conserved(self):
         timeline, _, cluster = run_recorded(0.05)
