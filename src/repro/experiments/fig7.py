@@ -109,3 +109,8 @@ def main(scale: ExperimentScale = QUICK, *, jobs: int = 0,
         table += "\n" + line
     return table
 
+
+if __name__ == "__main__":
+    raise SystemExit(
+        "error: python -m repro.experiments.fig7 runs nothing; "
+        "use `repro fig7`")

@@ -83,3 +83,8 @@ def main(scale: ExperimentScale = QUICK, *, jobs: int = 0,
         table += "\n" + line
     return table
 
+
+if __name__ == "__main__":
+    raise SystemExit(
+        "error: python -m repro.experiments.fig8 runs nothing; "
+        "use `repro fig8`")

@@ -82,3 +82,8 @@ def main(scale: ExperimentScale = QUICK, *, jobs: int = 0,
     print(table)
     return table
 
+
+if __name__ == "__main__":
+    raise SystemExit(
+        "error: python -m repro.experiments.fig9 runs nothing; "
+        "use `repro fig9`")

@@ -49,3 +49,9 @@ def run_all(
     print(footer)
     sections.append(footer)
     return "\n\n".join(sections)
+
+
+if __name__ == "__main__":
+    raise SystemExit(
+        "error: python -m repro.experiments.report runs nothing; "
+        "use `repro report`")

@@ -38,3 +38,8 @@ def main(params: SimulationParams | None = None) -> str:
     print(out)
     return out
 
+
+if __name__ == "__main__":
+    raise SystemExit(
+        "error: python -m repro.experiments.table1 runs nothing; "
+        "use `repro table1`")

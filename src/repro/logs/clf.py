@@ -61,8 +61,8 @@ _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 _QUOTED = r'(?:[^"\\]|\\.)*'
 _CLF_RE = re.compile(
     r'^(?P<host>\S+)\s+(?P<ident>\S+)\s+(?P<authuser>\S+)\s+'
-    r'\[(?P<day>\d{2})/(?P<mon>[A-Z][a-z]{2})/(?P<year>\d{4}):'
-    r'(?P<hh>\d{2}):(?P<mm>\d{2}):(?P<ss>\d{2})\s+(?P<zone>[+-]\d{4})\]\s+'
+    r'\[(?P<stamp>\d{2}/[A-Z][a-z]{2}/\d{4}:'
+    r'\d{2}:\d{2}:\d{2}\s+[+-]\d{4})\]\s+'
     r'"(?P<method>\S+)\s+(?P<path>\S+)(?:\s+(?P<proto>[^"]+))?"\s+'
     r'(?P<status>\d{3})\s+(?P<size>\d+|-)'
     rf'(?:\s+"(?P<referer>{_QUOTED})")?'
@@ -174,27 +174,56 @@ def _unescape_quoted(value: str) -> str:
     return _ESCAPE_SEQ.sub(sub, value)
 
 
-#: Epoch of local midnight for each ``(year, mon, day, zone)`` stamp seen:
-#: a log has many lines per day, so ``calendar.timegm`` and the zone
-#: arithmetic run once per log day instead of once per line.  Cleared when
-#: full, so a log with a new date on every line cannot grow it unbounded.
-_DAY_EPOCH: dict[tuple[str, str, str, str], int] = {}
-_DAY_EPOCH_MAX = 4096
+#: Epoch of each bracketed stamp text seen (``"10/Oct/2000:13:55:36
+#: -0700"``, as a float): a log has many lines per second, so a line's
+#: timestamp is one dict probe.  On a miss the time of day is range-checked
+#: and the day's midnight comes from ``_DAY_EPOCH``, the epoch of local
+#: midnight per ``("dd/Mon/yyyy", zone)``, so ``calendar.timegm`` and the
+#: zone arithmetic run once per log day.  Both are cleared when full, so a
+#: log with a new second (or date) on every line cannot grow them unbounded.
+_STAMP_EPOCH: dict[str, float] = {}
+_DAY_EPOCH: dict[tuple[str, str], int] = {}
+_MEMO_MAX = 4096
 
 
-def _day_epoch(line: str, year: str, mon: str, day: str, zone: str) -> int:
-    """Compute and memoize the epoch of ``day/mon/year:00:00:00 zone``."""
-    month = _MONTHS.get(mon)
+def _stamp_epoch(line: str, stamp: str) -> float:
+    """Compute and memoize the epoch of a ``dd/Mon/yyyy:HH:MM:SS zone``
+    stamp, rejecting a field outside its range instead of rolling it
+    into the next minute, day or month."""
+    hh, mm, ss = int(stamp[12:14]), int(stamp[15:17]), int(stamp[18:20])
+    if hh >= 24 or mm >= 60 or ss > 60:  # :60 is a leap second
+        raise CLFParseError(line, "time of day out of range")
+    date, zone = stamp[:11], stamp[-5:]
+    midnight = _DAY_EPOCH.get((date, zone))
+    if midnight is None:
+        midnight = _day_epoch(line, date, zone)
+    epoch = float(midnight + hh * 3600 + mm * 60 + ss)
+    if len(_STAMP_EPOCH) >= _MEMO_MAX:
+        _STAMP_EPOCH.clear()
+    _STAMP_EPOCH[stamp] = epoch
+    return epoch
+
+
+def _day_epoch(line: str, date: str, zone: str) -> int:
+    """Compute and memoize the epoch of ``date`` (``dd/Mon/yyyy``) at
+    00:00:00 in ``zone``, rejecting a day outside its month and zone
+    minutes outside the hour."""
+    month = _MONTHS.get(date[3:6])
     if month is None:
         raise CLFParseError(line, "unknown month abbreviation")
+    year, day = int(date[7:11]), int(date[:2])
+    if not 1 <= day <= calendar.monthrange(year, month)[1]:
+        raise CLFParseError(line, "day out of range for its month")
+    if int(zone[3:5]) >= 60:
+        raise CLFParseError(line, "zone minutes out of range")
     try:
-        midnight = calendar.timegm((int(year), month, int(day), 0, 0, 0))
+        midnight = calendar.timegm((year, month, day, 0, 0, 0))
     except ValueError as exc:  # year 0000 is outside datetime's range
         raise CLFParseError(line, f"invalid date ({exc})") from None
     epoch = midnight - _zone_offset_seconds(zone)
-    if len(_DAY_EPOCH) >= _DAY_EPOCH_MAX:
+    if len(_DAY_EPOCH) >= _MEMO_MAX:
         _DAY_EPOCH.clear()
-    _DAY_EPOCH[year, mon, day, zone] = epoch
+    _DAY_EPOCH[date, zone] = epoch
     return epoch
 
 
@@ -204,25 +233,25 @@ def parse_line(line: str) -> LogRecord:
     Raises
     ------
     CLFParseError
-        If the line does not match the format.
+        If the line does not match the format, or a timestamp field is
+        outside its range (day of month, hour, minute, second, zone).
     """
     m = _CLF_RE.match(line.strip())
     if m is None:
         raise CLFParseError(line)
-    (host, ident, authuser, day, mon, year, hh, mm, ss, zone,
-     method, path, proto, status, size, referer, agent) = m.groups()
+    (host, ident, authuser, stamp, method, path, proto, status, size,
+     referer, agent) = m.groups()
     # CLF timestamps are local time plus an explicit zone; convert to epoch.
-    epoch = _DAY_EPOCH.get((year, mon, day, zone))
+    epoch = _STAMP_EPOCH.get(stamp)
     if epoch is None:
-        epoch = _day_epoch(line, year, mon, day, zone)
-    epoch += int(hh) * 3600 + int(mm) * 60 + int(ss)
+        epoch = _stamp_epoch(line, stamp)
     if referer is not None:
         referer = None if referer == "-" else _unescape_quoted(referer)
     if agent is not None:
         agent = None if agent == "-" else _unescape_quoted(agent)
     # Positional, in LogRecord's field order: keywords cost more per line.
     return LogRecord(
-        host, float(epoch), method, path, (proto or "HTTP/1.0").strip(),
+        host, epoch, method, path, (proto or "HTTP/1.0").strip(),
         int(status), 0 if size == "-" else int(size), ident, authuser,
         referer, agent,
     )

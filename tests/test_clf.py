@@ -3,10 +3,12 @@
 import calendar
 import gzip
 import io
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.logs import clf
 from repro.logs import (
     CLFParseError,
     CLFSource,
@@ -31,7 +33,27 @@ MALFORMED = [
     '1.2.3.4 - - [10/Oct/2000:13:55:36 +0000] "GET /x HTTP/1.0" abc 10',
     # matches the grammar, but year 0 is outside the calendar's range
     '1.2.3.4 - - [10/Oct/0000:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+    # match the grammar, but a field is outside its range: none may roll
+    # over into the next minute, day or month
+    '1.2.3.4 - - [32/Jan/2001:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [00/Jan/2001:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [30/Feb/2000:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [29/Feb/2001:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [31/Apr/2001:13:55:36 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:24:00:00 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:23:60:00 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:23:59:61 +0000] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:13:55:36 +0099] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:13:55:36 -0160] "GET /x HTTP/1.0" 200 10',
 ]
+
+
+def _stamp(t, zone, spaces):
+    """The CLF stamp of local time ``t`` (epoch seconds) in ``zone``,
+    with ``spaces`` spaces before the zone."""
+    y, mo, d, h, m, s = time.gmtime(t)[:6]
+    return (f"{d:02d}/{MONTHS[mo - 1]}/{y:04d}:{h:02d}:{m:02d}:{s:02d}"
+            f"{' ' * spaces}{zone}")
 
 
 class TestParseLine:
@@ -81,21 +103,27 @@ class TestParseLine:
         st.tuples(
             st.integers(min_value=1, max_value=9999),
             st.integers(min_value=1, max_value=12),
-            st.integers(min_value=1, max_value=28),
+            st.integers(min_value=1, max_value=31),
             st.integers(min_value=0, max_value=23),
             st.integers(min_value=0, max_value=59),
-            st.integers(min_value=0, max_value=59),
+            st.integers(min_value=0, max_value=60),
             st.sampled_from(["+", "-"]),
             st.integers(min_value=0, max_value=14),
             st.sampled_from([0, 15, 30, 45]),
+            st.integers(min_value=1, max_value=3),
         ).filter(lambda s: s[7] or s[8]),  # non-zero zones only
         min_size=1, max_size=12,
-    ))
-    def test_property_timestamp_matches_timegm(self, stamps):
+    ), run=st.integers(min_value=0, max_value=5000))
+    @example(stamps=[(2016, 12, 31, 23, 59, 60, "+", 1, 0, 1)], run=0)
+    @example(stamps=[(2000, 2, 29, 0, 0, 0, "-", 5, 0, 2)], run=0)
+    @example(stamps=[(2001, 12, 31, 23, 0, 0, "-", 1, 30, 1)], run=5000)
+    def test_property_timestamp_matches_timegm(self, stamps, run):
         # Each date is stamped under two zones at two times of day, so the
-        # same date recurs under different zones, a memoized day is reused
-        # at another time, and the date changes between stamps.
-        for y, mo, d, hh, mm, ss, sign, zh, zm in stamps:
+        # same date recurs under different zones, a memoized day or stamp
+        # is reused at another time, and the date changes between stamps.
+        # One to three spaces precede the zone; day 31 exists in some
+        # months only, and second 60 (a leap second) is valid.
+        for y, mo, d, hh, mm, ss, sign, zh, zm, spaces in stamps:
             for zone_h in ((zh + 5) % 14 + 1, zh):
                 for h, m in ((hh, mm), ((hh + 7) % 24, (mm + 13) % 60)):
                     zone = f"{sign}{zone_h:02d}{zm:02d}"
@@ -104,11 +132,27 @@ class TestParseLine:
                         offset = -offset
                     line = (
                         f"h - - [{d:02d}/{MONTHS[mo - 1]}/{y:04d}:"
-                        f'{h:02d}:{m:02d}:{ss:02d} {zone}] "GET /x" 200 1'
+                        f"{h:02d}:{m:02d}:{ss:02d}{' ' * spaces}{zone}]"
+                        ' "GET /x" 200 1'
                     )
+                    if d > calendar.monthrange(y, mo)[1]:
+                        with pytest.raises(CLFParseError, match="day out"):
+                            parse_line(line)
+                        continue
                     assert parse_line(line).timestamp == (
                         calendar.timegm((y, mo, d, h, m, ss)) - offset
                     )
+        # Then a log with a new second on every line, from the first
+        # stamp's date.  Up to 5,001 distinct stamps is more than the memo
+        # holds, so a long run parses across a clear of the memo.
+        y, mo, d, hh, mm, ss, sign, zh, zm, spaces = stamps[0]
+        start = calendar.timegm((min(y, 9998), mo, min(d, 28), hh, mm, 0))
+        zone = f"{sign}{zh:02d}{zm:02d}"
+        offset = (zh * 3600 + zm * 60) * (1 if sign == "+" else -1)
+        for t in range(start, start + run + 1):
+            line = f'h - - [{_stamp(t, zone, spaces)}] "GET /x" 200 1'
+            assert parse_line(line).timestamp == t - offset
+        assert len(clf._STAMP_EPOCH) <= clf._MEMO_MAX
 
 
 class TestRoundTrip:
@@ -157,7 +201,7 @@ class TestStreams:
                                 stats=stats))
         assert len(recs) == 2
         assert stats.dropped == len(bad)
-        assert stats.samples == bad
+        assert stats.samples == bad[:ParseStats.MAX_SAMPLES]
 
     def test_write_then_read(self):
         recs = [parse_line(SAMPLE)] * 3

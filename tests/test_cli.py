@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import gzip
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.experiments import FULL, QUICK
 
@@ -212,3 +216,22 @@ class TestExperimentCommands:
             main(["report", "--csv-dir", "x"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --csv-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "report", "fig6", "fig7", "fig8", "fig9", "table1",
+    ])
+    def test_module_entry_point_names_the_command(self, command):
+        # ``python -m repro.experiments.<command>`` used to run the
+        # experiment; now it must fail and point at the one entry point.
+        proc = subprocess.run(
+            [sys.executable, "-m", f"repro.experiments.{command}"],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1]),
+                 "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: python -m repro.experiments.{command} runs nothing; "
+            f"use `repro {command}`"
+        )

@@ -1,6 +1,9 @@
 """Tests for the core record/trace types."""
 
+import dataclasses
+import inspect
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +36,52 @@ class TestRequest:
     def test_main_page(self):
         assert req(0.0).is_main_page()
         assert not req(0.0, is_embedded=True, parent="/a").is_main_page()
+
+
+RECORDS = [
+    LogRecord("h", 1.0, "GET", "/a", "HTTP/1.1", 200, 5, "id", "user",
+              "http://ref/", "agent"),
+    Request(1.5, 3, "/a.gif", 10, True, "/a.html", "h", True),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS,
+                         ids=lambda r: type(r).__name__)
+class TestHandWrittenInit:
+    """Both records build through a hand-written ``__init__``; it must be
+    indistinguishable from the one ``@dataclass`` would generate."""
+
+    def test_signature_matches_fields(self, record):
+        params = list(inspect.signature(type(record)).parameters.values())
+        fields = dataclasses.fields(record)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING
+            else f.default for f in fields
+        ]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
+    def test_every_field_stored(self, record):
+        values = dataclasses.astuple(record)
+        names = [f.name for f in dataclasses.fields(record)]
+        assert dataclasses.astuple(type(record)(*values)) == values
+        assert type(record)(**dict(zip(names, values))) == record
+
+    def test_frozen(self, record):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+    def test_equal_and_hash_like_replace_twin(self, record):
+        twin = dataclasses.replace(record)
+        assert twin is not record
+        assert twin == record and hash(twin) == hash(record)
+        other = dataclasses.replace(record, path="/elsewhere")
+        assert other != record
+
+    def test_pickle_round_trip(self, record):
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and hash(again) == hash(record)
 
 
 class TestTrace:

@@ -9,6 +9,9 @@ holds more than the lookahead window of requests.
 """
 
 import dataclasses
+import json
+import logging
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 
 from repro.core.system import run_policy
 from repro.logs import Request, Trace
-from repro.logs.replay import SidecarRequestSource, write_sidecar
+from repro.logs.replay import SidecarRequestSource, _decode_row, write_sidecar
 from repro.logs.store import load_workload, save_workload
 from repro.logs.workloads import synthetic_workload
 from repro.sim import ClusterSimulator
@@ -176,6 +179,76 @@ class TestSidecarSourceValidation:
         p = self._write(tmp_path, header + row % 2.0 + row % 1.0)
         with pytest.raises(ValueError, match="sorted by arrival"):
             SidecarRequestSource(p)
+
+
+_ROW = ('{"a": 1.0, "c": 0, "p": "/p", "s": 1, "e": false, "d": false, '
+        '"pa": null, "cl": "-"}')
+
+#: Sidecar lines ``json.loads`` accepts...
+GOOD_LINES = {
+    "row": _ROW + "\n",
+    "no-newline": _ROW,
+    "surrounding-spaces": "  " + _ROW + " \t\r\n",
+    "any-json-value": "[1, NaN]\n",
+}
+#: ...and rows it rejects, each as the line(s) that replace one row.
+BAD_ROWS = {
+    "two-objects": [_ROW + " " + _ROW + "\n"],
+    "split-across-lines": [_ROW[:30] + "\n", _ROW[30:] + "\n"],
+    "blank": ["\n"],
+    "whitespace-only": [" \t \n"],
+    "bom": ["\ufeff" + _ROW + "\n"],
+    "form-feed": [_ROW + "\f\n"],
+    "vertical-tab": ["\x0b" + _ROW + "\n"],
+    "no-break-space": ["\xa0" + _ROW + "\n"],
+}
+
+
+def _outcome(decode, line):
+    try:
+        return json.dumps(decode(line))
+    except json.JSONDecodeError:
+        return None
+
+
+class TestSidecarRowDecoder:
+    """Each sidecar line decodes in one call, accepting and rejecting
+    exactly what ``json.loads`` does."""
+
+    @pytest.mark.parametrize("line,accepted", [
+        *[pytest.param(line, True, id=k) for k, line in GOOD_LINES.items()],
+        *[pytest.param(line, False, id=f"{k}-{i}")
+          for k, lines in BAD_ROWS.items() for i, line in enumerate(lines)],
+    ])
+    def test_decodes_like_json_loads(self, line, accepted):
+        expected = _outcome(json.loads, line)
+        assert (expected is not None) == accepted
+        assert _outcome(_decode_row, line) == expected
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("wl") / "synthetic"
+        save_workload(synthetic_workload(scale=0.02), out)
+        return out
+
+    @pytest.mark.parametrize("bad", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+    def test_bad_row_rejected_on_load(self, saved, tmp_path, caplog, bad):
+        out = tmp_path / "wl"
+        shutil.copytree(saved, out)
+        p = out / "trace.meta.jsonl"
+        lines = p.read_text().splitlines(keepends=True)
+        lines[1:2] = bad
+        p.write_text("".join(lines))
+        with pytest.raises(ValueError):
+            SidecarRequestSource(p)
+        n = len(load_workload(saved).trace)
+        for stream in (False, True):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.logs.store"):
+                again = load_workload(out, stream=stream)
+            assert "unusable trace sidecar" in caplog.text
+            assert isinstance(again.trace, Trace)
+            assert len(again.trace) == n
 
 
 class TestStreamedFootprint:
