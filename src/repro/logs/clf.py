@@ -57,7 +57,9 @@ _MONTHS = {
 _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 
 # Quoted fields (referer / user-agent) allow backslash escapes so an
-# embedded '"' cannot terminate the field early.
+# embedded '"' cannot terminate the field early.  ``re.ASCII``: CLF's
+# digits and separators are ASCII, so neither another script's digits
+# (which ``int`` would accept) nor a no-break space passes for them.
 _QUOTED = r'(?:[^"\\]|\\.)*'
 _CLF_RE = re.compile(
     r'^(?P<host>\S+)\s+(?P<ident>\S+)\s+(?P<authuser>\S+)\s+'
@@ -66,7 +68,8 @@ _CLF_RE = re.compile(
     r'"(?P<method>\S+)\s+(?P<path>\S+)(?:\s+(?P<proto>[^"]+))?"\s+'
     r'(?P<status>\d{3})\s+(?P<size>\d+|-)'
     rf'(?:\s+"(?P<referer>{_QUOTED})")?'
-    rf'(?:\s+"(?P<agent>{_QUOTED})")?'
+    rf'(?:\s+"(?P<agent>{_QUOTED})")?',
+    re.ASCII,
 )
 
 
@@ -131,6 +134,11 @@ def _zone_offset_seconds(zone: str) -> int:
     hours = int(zone[1:3])
     minutes = int(zone[3:5])
     return sign * (hours * 3600 + minutes * 60)
+
+
+#: Real UTC offsets lie within UTC−12:00 … UTC+14:00.
+_ZONE_MIN_S = -12 * 3600
+_ZONE_MAX_S = 14 * 3600
 
 
 #: Escapes applied to quoted fields on write (Apache's mod_log_config
@@ -206,8 +214,8 @@ def _stamp_epoch(line: str, stamp: str) -> float:
 
 def _day_epoch(line: str, date: str, zone: str) -> int:
     """Compute and memoize the epoch of ``date`` (``dd/Mon/yyyy``) at
-    00:00:00 in ``zone``, rejecting a day outside its month and zone
-    minutes outside the hour."""
+    00:00:00 in ``zone``, rejecting a day outside its month, zone
+    minutes outside the hour and an offset outside −12:00…+14:00."""
     month = _MONTHS.get(date[3:6])
     if month is None:
         raise CLFParseError(line, "unknown month abbreviation")
@@ -216,11 +224,14 @@ def _day_epoch(line: str, date: str, zone: str) -> int:
         raise CLFParseError(line, "day out of range for its month")
     if int(zone[3:5]) >= 60:
         raise CLFParseError(line, "zone minutes out of range")
+    offset = _zone_offset_seconds(zone)
+    if not _ZONE_MIN_S <= offset <= _ZONE_MAX_S:
+        raise CLFParseError(line, "zone offset out of range")
     try:
         midnight = calendar.timegm((year, month, day, 0, 0, 0))
     except ValueError as exc:  # year 0000 is outside datetime's range
         raise CLFParseError(line, f"invalid date ({exc})") from None
-    epoch = midnight - _zone_offset_seconds(zone)
+    epoch = midnight - offset
     if len(_DAY_EPOCH) >= _MEMO_MAX:
         _DAY_EPOCH.clear()
     _DAY_EPOCH[date, zone] = epoch

@@ -292,15 +292,12 @@ def trace_from_records(
             embedded = looks_embedded(rec.path)
             if not embedded:
                 parent = rec.path
+            # Positional, in Request's field order: keywords cost more
+            # per request.
             requests.append(Request(
-                arrival=rec.timestamp,
-                conn_id=conn_id,
-                path=rec.path,
-                size=max(rec.size, 1),
-                is_embedded=embedded,
-                parent=parent if embedded else None,
-                client=sess.client,
-                dynamic=looks_dynamic(rec.path),
+                rec.timestamp, conn_id, rec.path, max(rec.size, 1),
+                embedded, parent if embedded else None, sess.client,
+                looks_dynamic(rec.path),
             ))
     requests.sort(key=lambda r: (r.arrival, r.conn_id))
     return Trace(requests, name=name)

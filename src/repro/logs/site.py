@@ -17,9 +17,10 @@ the code paths the real logs would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 __all__ = [
     "EmbeddedObject",
@@ -211,6 +212,8 @@ class SiteSpec:
 
 def _lognormal_size(rng: np.random.Generator, mean: float, sigma: float = 0.6) -> int:
     """Draw a log-normal size with the requested arithmetic mean."""
+    import numpy as np
+
     mu = np.log(mean) - 0.5 * sigma * sigma
     return max(64, int(rng.lognormal(mu, sigma)))
 
@@ -225,6 +228,10 @@ def build_site(spec: SiteSpec | None = None, name: str = "site") -> Website:
     across categories.  Every page carries a geometric number of embedded
     objects with log-normal sizes.
     """
+    # numpy is imported only where its random generator draws, so that
+    # replaying a saved workload never loads it.
+    import numpy as np
+
     spec = spec or SiteSpec()
     if spec.pages_per_category < 2:
         raise ValueError("pages_per_category must be >= 2")

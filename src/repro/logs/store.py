@@ -125,10 +125,10 @@ def save_workload(workload: Workload, directory: Path | str) -> Path:
     save_site(workload.site, directory / "site.json")
     with (directory / "training.log").open("w") as fp:
         write_log(fp, workload.training_records)
+    # Positional, in LogRecord's field order: keywords cost more per row.
     eval_records = [
-        LogRecord(host=r.client if r.client != "-" else f"c{r.conn_id}",
-                  timestamp=r.arrival, method="GET", path=r.path,
-                  protocol="HTTP/1.1", status=200, size=r.size)
+        LogRecord(r.client if r.client != "-" else f"c{r.conn_id}",
+                  r.arrival, "GET", r.path, "HTTP/1.1", 200, r.size)
         for r in workload.trace
     ]
     with (directory / "access.log").open("w") as fp:

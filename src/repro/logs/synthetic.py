@@ -17,13 +17,14 @@ same code paths it would on real logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .records import LogRecord, Trace
 from .sessions import trace_from_records
 from .site import Category, Website
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 __all__ = [
     "TrafficSpec",
@@ -119,6 +120,10 @@ class TraceGenerator:
     """
 
     def __init__(self, site: Website, spec: TrafficSpec | None = None) -> None:
+        # numpy is imported only by the code that draws from its random
+        # generator, so that replaying a saved workload never loads it.
+        import numpy as np
+
         self.site = site
         self.spec = spec or TrafficSpec()
         self.spec.validate()
@@ -154,6 +159,8 @@ class TraceGenerator:
     def _pick_next_page(
         self, rng: np.random.Generator, current: str, cat: Category
     ) -> str:
+        import numpy as np
+
         page = self.site.page(current)
         if page.links and rng.random() < self.spec.link_follow_prob:
             links = page.links
@@ -185,6 +192,8 @@ class TraceGenerator:
 
     def generate_records(self) -> list[LogRecord]:
         """Emit the run as time-sorted CLF log records."""
+        import numpy as np
+
         spec = self.spec
         rng = np.random.default_rng(spec.seed)
         records: list[LogRecord] = []

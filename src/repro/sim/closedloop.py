@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.config import SimulationParams
 from ..logs.records import Request
 from ..logs.site import Website
@@ -92,6 +90,10 @@ class ClosedLoopDriver:
             window_s=duration_s,
             catalog=self._sizes,
         )
+        # Imported here, where its generator is made, so that importing
+        # the simulator package does not load numpy.
+        import numpy as np
+
         self._rng = np.random.default_rng(seed)
         self._next_conn = 0
         self.sessions_completed = 0

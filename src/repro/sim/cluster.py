@@ -53,8 +53,6 @@ from typing import (
     TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable,
 )
 
-import numpy as np
-
 from ..core.config import SimulationParams
 from ..logs.records import Request, RequestSource
 from ..policies.base import Policy, RoutingDecision
@@ -180,12 +178,12 @@ class _ArrivalPump:
                 f"{self.total} requests"
             )
         tx, disk = service_time_arrays(
-            np.array([r.size for r in batch], dtype=np.float64),
-            self._tx_us, self._disk_ms, self._disk_us,
+            [r.size for r in batch], self._tx_us, self._disk_ms,
+            self._disk_us,
         )
         self.pending.extend(batch)
-        self.pending_tx.extend(tx.tolist())
-        self.pending_disk.extend(disk.tolist())
+        self.pending_tx.extend(tx)
+        self.pending_disk.extend(disk)
         schedule = cluster.sim.schedule_at_reserved
         fire = self._fire_cb
         base = self.base_seq

@@ -20,15 +20,12 @@ a recycled slot never pins dead requests.
 
 The arrival pump fills the ``tx_s``/``disk_s`` columns a chunk at a
 time: :func:`service_time_arrays` prices a whole batch of sizes in one
-vectorised call, bit-identical to the scalar ``SimulationParams``
-methods.
+call, bit-identical to the scalar ``SimulationParams`` methods.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..logs.records import Request
@@ -48,12 +45,12 @@ _KB = 1024.0
 
 
 def service_time_arrays(
-    sizes: np.ndarray,
+    sizes: list[int],
     transmit_us_per_kb: float,
     disk_fixed_ms: float,
     disk_us_per_kb: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``(transmit_s, disk_service_s)`` for ``sizes`` (bytes).
+) -> tuple[list[float], list[float]]:
+    """Batched ``(transmit_s, disk_service_s)`` lists for ``sizes`` (bytes).
 
     Operation order matches ``SimulationParams.transmit_s`` /
     ``disk_service_s`` exactly (scale factor first, then the per-element
@@ -61,9 +58,11 @@ def service_time_arrays(
     the scalar path — the property that keeps batched pricing from
     changing any report.
     """
-    tx = transmit_us_per_kb * 1e-6 * sizes / _KB
-    disk = disk_fixed_ms * 1e-3 + disk_us_per_kb * 1e-6 * sizes / _KB
-    return tx, disk
+    tx_scale = transmit_us_per_kb * 1e-6
+    disk_fixed = disk_fixed_ms * 1e-3
+    disk_scale = disk_us_per_kb * 1e-6
+    return ([tx_scale * size / _KB for size in sizes],
+            [disk_fixed + disk_scale * size / _KB for size in sizes])
 
 
 class FlowTable:

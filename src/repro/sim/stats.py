@@ -6,18 +6,81 @@ The paper's evaluation metrics (§5.2): *average response time*,
 records per-request completions plus event counters; reports can exclude
 a warm-up prefix so cold-cache compulsory misses do not drown
 steady-state behaviour.
+
+The statistics are computed in plain Python, in the association order
+numpy uses (:func:`_pairwise_sum`, :func:`_linear_percentile`): every
+report is bit-identical to what ``numpy.mean``/``median``/``percentile``
+compute, and replaying a saved workload needs no numpy import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from ..logs.records import Request
 
 __all__ = ["CompletionRecord", "SimulationReport", "MetricsCollector"]
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """``values[start:start + n]`` summed as numpy sums a float64 array.
+
+    numpy's pairwise summation: fewer than 8 values take a running sum;
+    up to 128 take eight interleaved accumulators, combined pairwise,
+    then the tail; a larger block splits at a multiple of 8 near its
+    middle and recurses.  Keeping that association order keeps a mean
+    bit-identical to ``numpy.mean``.
+    """
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        end = start + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        for i in range(start + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(values, start, half)
+            + _pairwise_sum(values, start + half, n - half))
+
+
+def _median(ordered: list[float]) -> float:
+    """``numpy.median`` of the sorted, non-empty ``ordered``."""
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _linear_percentile(ordered: list[float], q: float) -> float:
+    """``numpy.percentile(values, q)`` (its default ``linear`` method)
+    of the sorted, non-empty ``ordered``."""
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    below = math.floor(virtual)
+    gamma = virtual - below
+    a = ordered[below]
+    b = ordered[below + 1] if below + 1 < n else a
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,10 +155,13 @@ class SimulationReport:
     @property
     def load_imbalance(self) -> float:
         """max/mean per-server completions (1.0 = perfectly balanced)."""
-        counts = np.array(self.per_server_completed, dtype=float)
-        if counts.size == 0 or counts.mean() == 0:
+        counts = [float(c) for c in self.per_server_completed]
+        if not counts:
             return 0.0
-        return float(counts.max() / counts.mean())
+        mean = _pairwise_sum(counts, 0, len(counts)) / len(counts)
+        if mean == 0:
+            return 0.0
+        return max(counts) / mean
 
     def row(self) -> str:
         """One formatted table row for the experiment harness."""
@@ -115,9 +181,10 @@ class MetricsCollector:
 
     Completions are stored struct-of-arrays — six parallel scalar
     columns instead of a :class:`CompletionRecord` per request — so the
-    hot path appends plain floats/ints and the report aggregates with
-    vectorised NumPy.  The :attr:`records` view materialises the
-    record objects on demand for tests and ad-hoc analysis.
+    hot path appends plain floats/ints and the report aggregates them
+    in one pass, with numpy's summation and percentile rules.  The
+    :attr:`records` view materialises the record objects on demand for
+    tests and ad-hoc analysis.
     """
 
     def __init__(self, n_servers: int) -> None:
@@ -223,10 +290,29 @@ class MetricsCollector:
         Event counters (dispatches, handoffs, ...) are run totals — the
         paper's Fig. 6 counts dispatches over the whole trace.
         """
-        all_completed = len(self._arrival)
-        arrivals = np.array(self._arrival, dtype=np.float64)
-        mask = arrivals >= warmup_until
-        n = int(np.count_nonzero(mask))
+        arrivals = self._arrival
+        all_completed = len(arrivals)
+        # One pass over the columns: the post-warm-up response times, in
+        # completion order (the mean's summation order), and the counts.
+        responses: list[float] = []
+        push = responses.append
+        per_server = [0] * self.n_servers
+        hits = in_window = 0
+        last = -math.inf
+        limit = math.inf if window_end is None else window_end
+        for arrival, completion, server, hit in zip(
+            arrivals, self._completion, self._server, self._hit,
+        ):
+            if arrival >= warmup_until:
+                push(completion - arrival)
+                per_server[server] += 1
+                if hit:
+                    hits += 1
+                if completion > last:
+                    last = completion
+                if completion <= limit:
+                    in_window += 1
+        n = len(responses)
         if n == 0:
             return SimulationReport(
                 completed=0, all_completed=all_completed,
@@ -242,33 +328,25 @@ class MetricsCollector:
                 makespan_s=0.0,
                 per_server_completed=(0,) * self.n_servers,
             )
-        completions = np.array(self._completion, dtype=np.float64)[mask]
-        # Per-element float64 subtraction: bit-identical to the scalar
-        # ``completion - arrival`` the record property computed.
-        responses = completions - arrivals[mask]
-        per_server = np.bincount(
-            np.array(self._server, dtype=np.intp)[mask],
-            minlength=self.n_servers,
-        )
         start = max(warmup_until,
                     self.first_arrival if self.first_arrival else 0.0)
-        makespan = float(completions.max()) - start
+        makespan = last - start
         drain_throughput = n / makespan if makespan > 0 else 0.0
         if window_end is not None and window_end > start:
-            in_window = int(np.count_nonzero(completions <= window_end))
             throughput = in_window / (window_end - start)
         else:
             throughput = drain_throughput
-        hits = int(np.count_nonzero(np.array(self._hit, dtype=bool)[mask]))
+        mean = _pairwise_sum(responses, 0, n) / n
+        responses.sort()
         return SimulationReport(
             completed=n,
             all_completed=all_completed,
             throughput_rps=throughput,
             drain_throughput_rps=drain_throughput,
-            mean_response_s=float(responses.mean()),
-            median_response_s=float(np.median(responses)),
-            p95_response_s=float(np.percentile(responses, 95)),
-            p99_response_s=float(np.percentile(responses, 99)),
+            mean_response_s=mean,
+            median_response_s=_median(responses),
+            p95_response_s=_linear_percentile(responses, 95),
+            p99_response_s=_linear_percentile(responses, 99),
             hit_rate=hits / n,
             dispatches=self.dispatches,
             handoffs=self.handoffs,
@@ -277,5 +355,5 @@ class MetricsCollector:
             prefetch_useful=self.prefetch_useful,
             replicated_bytes=self.replicated_bytes,
             makespan_s=makespan,
-            per_server_completed=tuple(int(c) for c in per_server),
+            per_server_completed=tuple(per_server),
         )

@@ -45,7 +45,21 @@ MALFORMED = [
     '1.2.3.4 - - [10/Oct/2000:23:59:61 +0000] "GET /x HTTP/1.0" 200 10',
     '1.2.3.4 - - [10/Oct/2000:13:55:36 +0099] "GET /x HTTP/1.0" 200 10',
     '1.2.3.4 - - [10/Oct/2000:13:55:36 -0160] "GET /x HTTP/1.0" 200 10',
+    # zone offsets outside UTC-12:00 ... UTC+14:00
+    '1.2.3.4 - - [10/Oct/2000:13:55:36 +2359] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:13:55:36 +9900] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:13:55:36 +1401] "GET /x HTTP/1.0" 200 10',
+    '1.2.3.4 - - [10/Oct/2000:13:55:36 -1201] "GET /x HTTP/1.0" 200 10',
+    # CLF's digits and separators are ASCII: Arabic-Indic digits in the
+    # date and status, and no-break spaces between the fields
+    '1.2.3.4 - - [\u0661\u0660/Oct/2000:13:55:36 +0000] "GET /x HTTP/1.0" '
+    '\u0662\u0660\u0660 10',
+    '1.2.3.4\u00a0-\u00a0-\u00a0[10/Oct/2000:13:55:36\u00a0+0000]\u00a0'
+    '"GET\u00a0/x\u00a0HTTP/1.0"\u00a0200\u00a010',
 ]
+
+#: Real UTC offsets, in seconds.
+ZONE_MIN_S, ZONE_MAX_S = -12 * 3600, 14 * 3600
 
 
 def _stamp(t, zone, spaces):
@@ -71,6 +85,14 @@ class TestParseLine:
         east = parse_line(SAMPLE.replace("-0700", "+0000"))
         west = parse_line(SAMPLE)
         assert west.timestamp - east.timestamp == 7 * 3600
+
+    @pytest.mark.parametrize("zone,offset", [("+1400", 14 * 3600),
+                                             ("-1200", -12 * 3600)])
+    def test_extreme_real_zones_parse(self, zone, offset):
+        utc = parse_line(SAMPLE.replace("-0700", "+0000"))
+        assert parse_line(SAMPLE.replace("-0700", zone)).timestamp == (
+            utc.timestamp - offset
+        )
 
     def test_dash_size_is_zero(self):
         rec = parse_line(SAMPLE.replace(" 200 2326", " 304 -"))
@@ -122,7 +144,8 @@ class TestParseLine:
         # same date recurs under different zones, a memoized day or stamp
         # is reused at another time, and the date changes between stamps.
         # One to three spaces precede the zone; day 31 exists in some
-        # months only, and second 60 (a leap second) is valid.
+        # months only, second 60 (a leap second) is valid, and a zone
+        # outside -12:00 ... +14:00 is rejected.
         for y, mo, d, hh, mm, ss, sign, zh, zm, spaces in stamps:
             for zone_h in ((zh + 5) % 14 + 1, zh):
                 for h, m in ((hh, mm), ((hh + 7) % 24, (mm + 13) % 60)):
@@ -139,6 +162,11 @@ class TestParseLine:
                         with pytest.raises(CLFParseError, match="day out"):
                             parse_line(line)
                         continue
+                    if not ZONE_MIN_S <= offset <= ZONE_MAX_S:
+                        with pytest.raises(CLFParseError,
+                                           match="zone offset"):
+                            parse_line(line)
+                        continue
                     assert parse_line(line).timestamp == (
                         calendar.timegm((y, mo, d, h, m, ss)) - offset
                     )
@@ -146,6 +174,10 @@ class TestParseLine:
         # stamp's date.  Up to 5,001 distinct stamps is more than the memo
         # holds, so a long run parses across a clear of the memo.
         y, mo, d, hh, mm, ss, sign, zh, zm, spaces = stamps[0]
+        if not ZONE_MIN_S <= (zh * 3600 + zm * 60) * (
+                1 if sign == "+" else -1) <= ZONE_MAX_S:
+            # The run needs a zone that parses: the extreme one of its sign.
+            zh, zm = (14 if sign == "+" else 12), 0
         start = calendar.timegm((min(y, 9998), mo, min(d, 28), hh, mm, 0))
         zone = f"{sign}{zh:02d}{zm:02d}"
         offset = (zh * 3600 + zm * 60) * (1 if sign == "+" else -1)

@@ -1,9 +1,13 @@
 """Tests for the dispatcher locality table and the metrics collector."""
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logs import Request
-from repro.sim import Dispatcher, MetricsCollector
+from repro.sim import Dispatcher, MetricsCollector, SimulationReport
 
 
 def req(t=0.0, conn=0, path="/a", size=100, **kw):
@@ -154,3 +158,116 @@ class TestMetricsCollector:
         m.record_completion(req(), 1.0, 0, True)
         row = m.report().row()
         assert "rps" in row and "hit" in row
+
+
+def numpy_report(arrivals, completions, servers, hits, n_servers,
+                 warmup_until, window_end):
+    """The report and load imbalance as numpy computes them: the
+    reference the collector's plain-Python statistics must equal."""
+    a = np.array(arrivals, dtype=np.float64)
+    mask = a >= warmup_until
+    n = int(np.count_nonzero(mask))
+    zeros = dict(dispatches=0, handoffs=0, connections=0,
+                 prefetches_issued=0, prefetch_useful=0,
+                 replicated_bytes=0)
+    if n == 0:
+        return SimulationReport(
+            completed=0, all_completed=len(arrivals), throughput_rps=0.0,
+            drain_throughput_rps=0.0, mean_response_s=0.0,
+            median_response_s=0.0, p95_response_s=0.0, p99_response_s=0.0,
+            hit_rate=0.0, makespan_s=0.0,
+            per_server_completed=(0,) * n_servers, **zeros,
+        ), 0.0
+    c = np.array(completions, dtype=np.float64)[mask]
+    responses = c - a[mask]
+    per_server = np.bincount(np.array(servers, dtype=np.intp)[mask],
+                             minlength=n_servers)
+    first = min(arrivals)
+    start = max(warmup_until, first if first else 0.0)
+    makespan = float(c.max()) - start
+    drain = n / makespan if makespan > 0 else 0.0
+    if window_end is not None and window_end > start:
+        throughput = (int(np.count_nonzero(c <= window_end))
+                      / (window_end - start))
+    else:
+        throughput = drain
+    counts = per_server.astype(float)
+    imbalance = (0.0 if counts.mean() == 0
+                 else float(counts.max() / counts.mean()))
+    return SimulationReport(
+        completed=n, all_completed=len(arrivals), throughput_rps=throughput,
+        drain_throughput_rps=drain,
+        mean_response_s=float(responses.mean()),
+        median_response_s=float(np.median(responses)),
+        p95_response_s=float(np.percentile(responses, 95)),
+        p99_response_s=float(np.percentile(responses, 99)),
+        hit_rate=int(np.count_nonzero(np.array(hits, dtype=bool)[mask])) / n,
+        makespan_s=makespan,
+        per_server_completed=tuple(int(k) for k in per_server), **zeros,
+    ), imbalance
+
+
+#: Column lengths around numpy's summation boundaries: its running sum
+#: (under 8), one eight-accumulator block (up to 128), one split (up to
+#: 256) and several levels of splits.
+REPORT_SIZES = [*range(10), 127, 128, 129, 255, 256, 257, 2999, 4103]
+
+
+class TestReportMatchesNumpy:
+    """Every report field equals numpy's, bit for bit (exact ``==``)."""
+
+    @pytest.mark.parametrize("n", REPORT_SIZES)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_servers=st.integers(1, 9),
+        responses=st.sampled_from(["spread", "tied", "zero"]),
+        warmup=st.sampled_from(["none", "random", "keep0", "keep1",
+                                "keep2"]),
+        window=st.sampled_from(["none", "inside", "past"]),
+    )
+    def test_report_equals_numpy(self, n, seed, n_servers, responses,
+                                 warmup, window):
+        rng = random.Random(seed)
+        # Distinct dyadic arrivals, so a warm-up cut at the k-th latest
+        # arrival keeps exactly k completions and a dyadic response
+        # time survives ``(arrival + r) - arrival`` exactly (ties).
+        arrivals = [k / 1024 for k in rng.sample(range(16 * n + 64), n)]
+        if responses == "spread":
+            times = [rng.expovariate(50.0) for _ in arrivals]
+        elif responses == "tied":
+            times = [rng.randrange(4) / 64 for _ in arrivals]
+        else:
+            times = [0.0] * n
+        rows = sorted(
+            ((a, a + r, rng.randrange(n_servers), rng.random() < 0.5)
+             for a, r in zip(arrivals, times)),
+            key=lambda row: row[1],
+        )
+        latest = sorted(arrivals, reverse=True)
+        if warmup == "none":
+            warmup_until = 0.0
+        elif warmup == "random":
+            warmup_until = rng.uniform(0.0, 16 * n / 1024 + 0.1)
+        else:
+            keep = int(warmup[-1])
+            warmup_until = (latest[keep - 1] if 0 < keep <= n
+                            else (latest[0] if latest else 0.0) + 1.0)
+        window_end = None
+        if window != "none" and rows:
+            window_end = (rng.choice(rows)[1] if window == "inside"
+                          else rows[-1][1] + 1.0)
+
+        m = MetricsCollector(n_servers)
+        for a, c, server, hit in rows:
+            m.record_completion(req(t=a), c, server, hit)
+        report = m.report(warmup_until=warmup_until, window_end=window_end)
+        expected, imbalance = numpy_report(
+            [row[0] for row in rows], [row[1] for row in rows],
+            [row[2] for row in rows], [row[3] for row in rows],
+            n_servers, warmup_until, window_end,
+        )
+        if warmup.startswith("keep") and int(warmup[-1]) <= n:
+            assert report.completed == int(warmup[-1])
+        assert report == expected
+        assert report.load_imbalance == imbalance

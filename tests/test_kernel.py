@@ -1,13 +1,12 @@
 """Batched arrival pricing: batch == scalar, bit for bit.
 
 The arrival pump prices request service times a chunk at a time
-through the kernel :func:`repro.sim.soa.service_time_arrays`.  Every
-element must equal the scalar ``SimulationParams.transmit_s`` /
-``disk_service_s`` floats **exactly**, so batching never changes a
-report.
+through :func:`repro.sim.soa.service_time_arrays`, a list of integer
+sizes in, two lists of floats out.  Every element must equal the scalar
+``SimulationParams.transmit_s`` / ``disk_service_s`` floats
+**exactly**, so batching never changes a report.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,14 +25,15 @@ _non_negative = st.floats(min_value=0.0, allow_nan=False,
 
 
 def _assert_batch_equals_scalar(params, sizes):
-    # Huge costs overflow to inf on both paths alike.
-    with np.errstate(over="ignore"):
-        tx, disk = service_time_arrays(
-            np.array(sizes, dtype=np.float64),
-            params.transmit_us_per_kb,
-            params.disk_latency_fixed_ms,
-            params.disk_us_per_kb,
-        )
+    # The pump's input: a list of ints.  Huge costs overflow to inf on
+    # both paths alike.
+    tx, disk = service_time_arrays(
+        sizes,
+        params.transmit_us_per_kb,
+        params.disk_latency_fixed_ms,
+        params.disk_us_per_kb,
+    )
+    assert len(tx) == len(disk) == len(sizes)
     for i, size in enumerate(sizes):
         # Exact float equality, not approx: the simulation's
         # bit-reproducibility rides on this.

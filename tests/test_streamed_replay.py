@@ -12,12 +12,15 @@ import dataclasses
 import json
 import logging
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import repro
 from repro.core.system import run_policy
 from repro.logs import Request, Trace
 from repro.logs.replay import SidecarRequestSource, _decode_row, write_sidecar
@@ -270,3 +273,38 @@ class TestStreamedFootprint:
         cluster.run()
         assert cluster.sim.calendar_high_water <= window + 64
         assert cluster.sim.calendar_high_water < n // 10
+
+
+#: Replays a saved workload (argv[1]) materialized and streamed under
+#: the strict auditor, then reports whether numpy was ever imported.
+_REPLAY_SCRIPT = """
+import sys
+from repro.core.system import run_policy
+from repro.logs.store import load_workload
+
+reports = {}
+for stream in (False, True):
+    workload = load_workload(sys.argv[1], stream=stream)
+    for policy in ("lard", "prord"):
+        result = run_policy(workload, policy, audit=True)
+        assert result.audit.clean, (stream, policy)
+        reports.setdefault(policy, []).append(result.report)
+assert all(a == b for a, b in reports.values()), "streamed != materialized"
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+class TestReplayWithoutNumpy:
+    """Only workload generation draws from numpy's random generator, so
+    replaying a saved workload never imports numpy."""
+
+    def test_saved_workload_replays_without_numpy(self, tmp_path):
+        out = save_workload(synthetic_workload(scale=0.02), tmp_path / "wl")
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPLAY_SCRIPT, str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1]),
+                 "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
