@@ -1,8 +1,7 @@
 """Design-choice ablations beyond the paper's Fig. 9 (DESIGN.md §7).
 
 * prefetch confidence threshold sweep (Algorithm 2's ``Threshold``),
-* dependency-graph order vs accuracy and table size,
-* predictor family bake-off (DG vs PPM vs sequence vs association),
+* dependency-graph order vs table size,
 * replication interval sensitivity (Algorithm 3's ``t``),
 * Ext-LARD variant: multiple-handoff vs backend-forwarding.
 """
@@ -12,15 +11,7 @@ import pytest
 from repro.core import SimulationParams, run_policy
 from repro.experiments import format_table
 from repro.logs import page_sequences, sessionize
-from repro.mining import (
-    AprioriMiner,
-    AssociationPredictor,
-    DependencyGraph,
-    PPMPredictor,
-    SequenceMiner,
-    SequencePredictor,
-    evaluate_predictor,
-)
+from repro.mining import DependencyGraph
 
 from conftest import BENCH, run_once
 
@@ -64,59 +55,21 @@ class TestDepgraphOrder:
     def test_order_accuracy_and_memory(self, benchmark, synthetic_loaded):
         sequences = page_sequences(
             sessionize(synthetic_loaded.training_records), min_length=2)
-        held_out = sequences[: len(sequences) // 5]
         train = sequences[len(sequences) // 5:]
 
         def sweep():
-            out = []
-            for order in (1, 2, 3):
-                g = DependencyGraph(order=order).train(train)
-                rep = evaluate_predictor(g, held_out)
-                out.append((order, rep.accuracy, g.memory_cells()))
-            return out
+            return [(order, DependencyGraph(order=order).train(train)
+                     .memory_cells())
+                    for order in (1, 2, 3)]
 
         rows = run_once(benchmark, sweep)
         print()
         print(format_table(
             "Ablation - dependency-graph order",
-            ["order", "accuracy", "table cells"],
-            [[o, f"{a:.1%}", c] for o, a, c in rows]))
-        cells = [c for _, _, c in rows]
+            ["order", "table cells"],
+            [[o, c] for o, c in rows]))
+        cells = [c for _, c in rows]
         assert cells == sorted(cells), "higher order must store more"
-
-
-class TestPredictorFamilies:
-    def test_family_bakeoff(self, benchmark, synthetic_loaded):
-        sequences = page_sequences(
-            sessionize(synthetic_loaded.training_records), min_length=2)
-        held_out = sequences[: len(sequences) // 5]
-        train = sequences[len(sequences) // 5:]
-
-        def bake():
-            preds = {
-                "depgraph": DependencyGraph(order=2).train(train),
-                "ppm": PPMPredictor(order=2).train(train),
-                "sequence": SequencePredictor(
-                    SequenceMiner(max_length=3, min_support=2)).train(train),
-                "association": AssociationPredictor(
-                    AprioriMiner(min_support=0.01),
-                    min_confidence=0.05).train(train),
-            }
-            return {n: evaluate_predictor(p, held_out)
-                    for n, p in preds.items()}
-
-        reports = run_once(benchmark, bake)
-        print()
-        print(format_table(
-            "Ablation - predictor families",
-            ["family", "accuracy", "coverage"],
-            [[n, f"{r.accuracy:.1%}", f"{r.coverage:.1%}"]
-             for n, r in reports.items()]))
-        # [21]'s finding: order-aware predictors beat association rules.
-        assert (reports["sequence"].useful_fraction
-                >= reports["association"].useful_fraction)
-        assert (reports["depgraph"].useful_fraction
-                >= reports["association"].useful_fraction)
 
 
 class TestReplicationInterval:

@@ -1,9 +1,8 @@
-"""Extension bench — cache replacement: LRU vs GDSF vs predictive GDSF.
+"""Extension bench — cache replacement: LRU vs GDSF.
 
-The paper's lineage ([30] GDSF, [20] mining-extended GDSF) predicts
-GDSF beating LRU on web traffic at scarce memory, with mined future
-frequency adding a little more.  This bench records hit rates and
-throughput for all three under LARD at a small cache fraction.
+The paper's lineage ([30] GDSF) predicts GDSF beating LRU on web
+traffic at scarce memory.  This bench records hit rates and throughput
+for both under LARD at a small cache fraction.
 """
 
 import pytest
@@ -13,7 +12,7 @@ from repro.experiments import format_table
 
 from conftest import BENCH, run_once
 
-POLICIES = ("lru", "gdsf", "gdsf-pred")
+POLICIES = ("lru", "gdsf")
 _results = {}
 
 
@@ -44,5 +43,3 @@ def test_cache_policy_report(benchmark):
         "Extension - cache replacement under LARD (8% memory)",
         ["cache", "hit", "thr (rps)", "resp (ms)"], rows))
     assert _results["gdsf"].hit_rate >= _results["lru"].hit_rate - 0.01
-    assert (_results["gdsf-pred"].hit_rate
-            >= _results["gdsf"].hit_rate - 0.02)

@@ -16,14 +16,11 @@ from repro.logs import (
     synthetic_workload,
 )
 from repro.mining import (
-    AprioriMiner,
     BundleMiner,
     DependencyGraph,
     PPMPredictor,
     PrefetchPredictor,
     RankTable,
-    SequenceMiner,
-    SequencePredictor,
 )
 
 
@@ -90,18 +87,6 @@ def test_ppm_training(benchmark, sequences):
 def test_bundle_mining(benchmark, training):
     table = benchmark(lambda: BundleMiner().mine(training))
     assert len(table) > 10
-
-
-def test_apriori(benchmark, sequences):
-    miner = AprioriMiner(min_support=0.02, max_itemset_size=2)
-    rules = benchmark(lambda: miner.rules(sequences[:400]))
-    assert isinstance(rules, list)
-
-
-def test_sequence_rules(benchmark, sequences):
-    miner = SequenceMiner(max_length=3, min_support=2)
-    p = benchmark(lambda: SequencePredictor(miner).train(sequences))
-    assert p.num_rules > 10
 
 
 def test_rank_table(benchmark, training):

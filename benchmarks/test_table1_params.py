@@ -50,5 +50,6 @@ def test_every_table1_parameter_is_consumed():
     # Memory entries drive the default cache size.
     assert SimulationParams(pinned_memory_bytes=1 << 20).server_cache_bytes \
         == 1 << 20
-    # Power entries drive the power model.
+    # Power entries are printed in Table 1 only; the model has no power
+    # states.
     assert SimulationParams(power_hibernate=0.1).power_hibernate == 0.1

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Capacity planning: backend count, memory, and power trade-offs.
+"""Capacity planning: backend count and memory trade-offs.
 
 A downstream operator's view of the library: given a site and its logs,
 
@@ -7,16 +7,13 @@ A downstream operator's view of the library: given a site and its logs,
   (the paper's consistency claim)?
 * how much memory does the cluster need before LARD and PRORD converge
   (Fig. 8's question)?
-* what does the power-management extension save on a bursty day?
+* how much closed-loop load does each policy sustain?
 
 Run:  python examples/capacity_planning.py
 """
 
 from repro.core import SimulationParams, run_policy
 from repro.experiments import QUICK, loaded_workload
-from repro.logs import synthetic_workload
-from repro.policies import WRRPolicy
-from repro.sim import ClusterSimulator
 
 
 def backend_scaling() -> None:
@@ -76,31 +73,10 @@ def closed_loop_capacity() -> None:
         print(f"{row[0]:9d} {row[1]:8.0f} {row[2]:8.0f}")
 
 
-def power_savings() -> None:
-    print("\n=== power-management extension (bursty low traffic) ===")
-    workload = synthetic_workload(scale=0.05)
-    for managed in (False, True):
-        params = SimulationParams(
-            n_backends=8,
-            cache_bytes=1 << 22,
-            power_management=managed,
-            hibernate_after_s=2.0,
-            wakeup_latency_s=0.5,
-        )
-        cluster = ClusterSimulator(workload.trace, WRRPolicy(), params,
-                                   warmup_fraction=0.0)
-        result = cluster.run()
-        label = "managed" if managed else "always-on"
-        print(f"  {label:>10s}: mean power {result.power.mean_power:.1%} "
-              f"of peak, {result.power.wakeups} wake-ups, "
-              f"p95 response {result.report.p95_response_s * 1e3:.1f} ms")
-
-
 def main() -> None:
     backend_scaling()
     memory_sizing()
     closed_loop_capacity()
-    power_savings()
 
 
 if __name__ == "__main__":

@@ -4,18 +4,14 @@
 Reproduces the CS-department experiment end to end under a saturating
 load: five user categories (current students, prospective students,
 faculty, staff, other) navigate a 4,700-file site; PRORD's distributor
-classifies the traffic, forwards embedded objects, prefetches along the
-dependency graph, and replicates hot files.
-
-Also demonstrates the user-categorization API (§3.1): live access paths
-are classified into the mined user groups with growing confidence.
+forwards embedded objects, prefetches along the dependency graph, and
+replicates hot files.
 
 Run:  python examples/cs_department.py
 """
 
-from repro.core import SimulationParams, mine_components, run_policy
+from repro.core import SimulationParams, run_policy
 from repro.experiments import QUICK, loaded_workload
-from repro.logs import page_sequences, sessionize
 
 
 def main() -> None:
@@ -25,19 +21,6 @@ def main() -> None:
     print(workload.summary())
 
     params = SimulationParams(n_backends=8)
-    mining = mine_components(workload, params)
-
-    # --- user categorization (paper §3.1) -----------------------------
-    categorizer = mining.components.categorizer
-    print("\nmined user categories:", categorizer.category_names())
-    sessions = sessionize(workload.training_records)
-    sample_paths = page_sequences(sessions, min_length=3)[:5]
-    for path in sample_paths:
-        out = categorizer.classify(path)
-        print(f"  {len(path)}-page visit starting {path[0]!r}"
-              f" -> {out.category} (confidence {out.confidence:.2f})")
-
-    # --- the distribution comparison ----------------------------------
     print()
     for policy in ("wrr", "lard", "ext-lard-phttp", "prord"):
         r = run_policy(

@@ -11,11 +11,10 @@ Package map
     synthetic workload generators, persistence.
 ``repro.mining``
     Web-usage mining: dependency graphs (Alg. 1), prefetch prediction
-    (Alg. 2), bundles, popularity, PPM/association/sequence predictors,
-    user categorization.
+    (Alg. 2), bundles, popularity, the PPM comparator predictor.
 ``repro.sim``
     Discrete-event cluster simulator: engine, caches, servers,
-    dispatcher, metrics, power, tracing, closed-loop clients.
+    dispatcher, metrics, tracing, closed-loop clients.
 ``repro.policies``
     WRR, LARD, Ext-LARD-PHTTP, PRORD, replication (Alg. 3).
 ``repro.core``

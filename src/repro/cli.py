@@ -354,10 +354,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     from .obs import (
         build_manifest,
         merge_telemetry,
-        prometheus_text,
         render_dashboard,
         timeline_jsonl,
-        write_matplotlib_charts,
     )
 
     scale = FULL if args.full else QUICK
@@ -369,10 +367,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
                        audit=args.audit, telemetry=True,
                        model_cache=args.model_cache)
 
-    summaries = {}
     for r in results:
         title = f"{r.cell.policy} on {r.cell.workload}"
-        summaries[f"{r.cell.workload}-{r.cell.policy}"] = r.result.telemetry
         print(render_dashboard(r.result.telemetry, title=title))
         print()
     merged = merge_telemetry([r.result.telemetry for r in results])
@@ -400,18 +396,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         )
         manifest_path = out_dir / "manifest.json"
         manifest_path.write_text(manifest.to_json())
-        prom_path = out_dir / "metrics.prom"
-        prom_path.write_text(prometheus_text(merged, {"grid": "timeline"}))
-        print(f"wrote {jsonl_path}, {manifest_path}, {prom_path}")
+        print(f"wrote {jsonl_path}, {manifest_path}")
         print(f"manifest fingerprint: {manifest.fingerprint()}")
-
-    if args.charts:
-        try:
-            charts_dir = Path(args.out_dir or ".") / "charts"
-            written = write_matplotlib_charts(summaries, charts_dir)
-            print(f"wrote {len(written)} chart(s) to {charts_dir}")
-        except RuntimeError as exc:
-            print(f"note: --charts skipped ({exc})")
     return 0
 
 
@@ -568,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "timeline",
         help="telemetered grid run: per-backend sparkline dashboards, "
-             "timeline JSONL / Prometheus export, run manifest")
+             "timeline JSONL export, run manifest")
     p.add_argument("--workloads", nargs="+",
                    choices=sorted(WORKLOAD_PRESETS),
                    default=["synthetic"])
@@ -577,11 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="paper scale instead of quick scale")
     p.add_argument("--out-dir", default=None,
-                   help="write timeline.jsonl, manifest.json and "
-                        "metrics.prom here")
-    p.add_argument("--charts", action="store_true",
-                   help="also write PNG charts (needs optional "
-                        "matplotlib; falls back to a note without it)")
+                   help="write timeline.jsonl and manifest.json here")
     add_jobs_option(p)
     add_audit_option(p)
     add_model_cache_option(p)

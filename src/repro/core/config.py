@@ -43,7 +43,9 @@ class SimulationParams:
         80 µs per 1 KB block across the network (response transmission
         and inter-server migration alike).
     power_on / power_off / power_hibernate:
-        100% when ON, 0% OFF, 5% in hibernation (relative units).
+        100% when ON, 0% OFF, 5% in hibernation (relative units);
+        printed in the Table-1 view only, as the model has no power
+        states.
     interconnect_mbps:
         100 Mbps Fast Ethernet (documented; the per-KB costs above are
         the operative model).
@@ -89,9 +91,8 @@ class SimulationParams:
     #: paper's single front end; connections hash across distributors.
     n_frontends: int = 1
     cache_bytes: int | None = None
-    #: Backend cache replacement: ``lru`` (default), ``gdsf``
-    #: (Cherkasova [30]), or ``gdsf-pred`` (Yang et al. [20] — GDSF
-    #: with mined future frequency; see ``repro.sim.gdsf``).
+    #: Backend cache replacement: ``lru`` (default) or ``gdsf``
+    #: (Cherkasova [30]; see ``repro.sim.gdsf``).
     cache_policy: str = "lru"
 
     # --- processing costs -------------------------------------------------
@@ -118,11 +119,6 @@ class SimulationParams:
     replication_interval_s: float = 10.0
     replication_t1: float = 0.8
 
-    # --- power management (extension; see repro.sim.power) ------------------
-    power_management: bool = False
-    hibernate_after_s: float = 5.0
-    wakeup_latency_s: float = 0.5
-
     def __post_init__(self) -> None:
         self.validate()
 
@@ -146,8 +142,6 @@ class SimulationParams:
             "frontend_parse_us": self.frontend_parse_us,
             "dispatch_us": self.dispatch_us,
             "dynamic_cpu_ms": self.dynamic_cpu_ms,
-            "hibernate_after_s": self.hibernate_after_s,
-            "wakeup_latency_s": self.wakeup_latency_s,
         }
         for name, value in non_negative.items():
             if not 0 <= value < math.inf:
@@ -160,7 +154,7 @@ class SimulationParams:
             raise ValueError("n_frontends must be >= 1")
         if self.backend_workers < 1:
             raise ValueError("backend_workers must be >= 1")
-        if self.cache_policy not in ("lru", "gdsf", "gdsf-pred"):
+        if self.cache_policy not in ("lru", "gdsf"):
             raise ValueError(
                 f"unknown cache_policy {self.cache_policy!r}"
             )

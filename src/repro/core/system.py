@@ -3,8 +3,7 @@
 This is the paper's full pipeline in one place:
 
 1. **mine** the training web log in one pass — sessions → dependency
-   graph, bundle table, popularity rank table, user categorizer (§3,
-   §4.1);
+   graph, bundle table, popularity rank table (§3, §4.1);
 2. **build** a distribution policy (PRORD or a baseline) and, for
    PRORD-family configurations, an Algorithm-3 replication engine seeded
    with the offline rank table;
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING
 from ..logs.clf import CLFSource
 from ..logs.workloads import Workload
 from ..mining.bundles import BundleTable
-from ..mining.categorize import UserCategorizer
 from ..mining.depgraph import DependencyGraph
 from ..mining.fold import StreamingModelFold
 from ..mining.popularity import PopularityTracker, RankTable
@@ -95,7 +93,6 @@ class MinedModels:
     graph: DependencyGraph
     model: DependencyGraph | PPMPredictor
     bundles: BundleTable
-    categorizer: UserCategorizer | None
     rank_table: RankTable
     num_sessions: int
     num_sequences: int
@@ -128,7 +125,6 @@ class MinedModels:
             components=PRORDComponents(
                 bundles=self.bundles,
                 predictor=predictor,
-                categorizer=self.categorizer,
             ),
             graph=graph,
             rank_table=self.rank_table,
@@ -362,31 +358,18 @@ def run_policy(
                 workload, cache_fraction, params.n_backends
             )
         )
-    def _mine() -> MiningResult:
+    if mining is None and policy_name in MINING_POLICY_NAMES:
         from ..mining.modelcache import cached_mine_models
         models = cached_mine_models(workload, params, cache=model_cache,
                                     profiler=profiler)
-        return models.runtime(params)
-
-    if mining is None and policy_name in MINING_POLICY_NAMES:
-        mining = _mine()
+        mining = models.runtime(params)
     policy, replicator = build_policy(policy_name, mining, params)
     if replicator is not None and profiler is not None:
         replicator.profiler = profiler
-    future_weights = None
-    if params.cache_policy == "gdsf-pred":
-        # Yang et al. [20]: future frequency from the offline ranking.
-        if mining is None:
-            mining = _mine()
-        future_weights = {
-            path: 0.5 + mining.rank_table.rank(path)
-            for path, _ in mining.rank_table.items()
-        }
     cluster = ClusterSimulator(
         workload.trace, policy, params,
         replicator=replicator, warmup_fraction=warmup_fraction,
         window_s=window_s,
-        future_weights=future_weights,
         auditor=SimulationAuditor() if audit else None,
         telemetry=tel,
     )

@@ -7,8 +7,7 @@ plain CLF::
     host ident authuser [dd/Mon/yyyy:HH:MM:SS zone] "METHOD /path PROTO" status size
 
 and the combined format's referer/user-agent extensions (two extra
-quoted fields), which the sessionizer and categorizer can exploit when
-present.
+quoted fields), which the sessionizer can exploit when present.
 
 Three properties the rest of the pipeline depends on:
 

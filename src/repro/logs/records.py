@@ -56,7 +56,7 @@ class LogRecord:
         Optional referer (combined-log extension); ``None`` for plain CLF.
     agent:
         Optional user-agent (combined-log extension); ``None`` for plain
-        CLF.  Useful for bot filtering and user categorization.
+        CLF.  Useful for bot filtering.
     """
 
     host: str
@@ -126,7 +126,7 @@ class Request:
         Path of the parent page for embedded objects; ``None`` for main
         pages.
     client:
-        Client identity (host) — informational, used by categorization.
+        Client identity (host); per-client sampling keys on it.
     dynamic:
         True for generated (CGI) content: uncacheable, CPU-priced per
         request (dynamic-content extension; see DESIGN.md §7).

@@ -7,9 +7,8 @@ driver around it:
 * records stream through a :class:`~repro.logs.sessions.StreamSessionizer`
   that retires a session the moment it goes idle past the timeout;
 * every retired session is immediately folded into the incremental
-  miners — :meth:`DependencyGraph.add_sequence`,
-  :class:`~repro.mining.bundles.BundleAccumulator`,
-  :class:`~repro.mining.categorize.CategoryAccumulator` — and dropped;
+  miners — :meth:`DependencyGraph.add_sequence` and
+  :class:`~repro.mining.bundles.BundleAccumulator` — and dropped;
 * popularity counts fold per record (:meth:`RankTable.from_records`
   counts records, not sessions, so the fold does too).
 
@@ -32,7 +31,6 @@ from typing import TYPE_CHECKING, Iterable
 from ..logs.records import LogRecord
 from ..logs.sessions import DEFAULT_SESSION_TIMEOUT, StreamSessionizer
 from .bundles import BundleMiner
-from .categorize import CategoryAccumulator
 from .depgraph import DependencyGraph
 from .popularity import RankTable
 
@@ -78,7 +76,6 @@ class StreamingModelFold:
                 "known: depgraph, ppm"
             )
         self._bundles = BundleMiner().accumulator()
-        self._categories = CategoryAccumulator()
         self._popularity: Counter[str] = Counter()
         self._num_sessions = 0
         self._num_sequences = 0
@@ -114,7 +111,6 @@ class StreamingModelFold:
             self._graph.add_sequence(seq)
             if self._ppm is not None:
                 self._ppm.add_sequence(seq)
-            self._categories.add_sequence(seq)
 
     def add_record(self, rec: LogRecord) -> None:
         """Fold one log record (time-ordered) into the models."""
@@ -141,17 +137,12 @@ class StreamingModelFold:
         self._finished = True
         for sess in self._sessionizer.flush():
             self._fold_session(sess)
-        try:
-            categorizer = self._categories.finish()
-        except ValueError:
-            categorizer = None
         graph = self._graph
         model = graph if self._ppm is None else self._ppm
         return MinedModels(
             graph=graph,
             model=model,
             bundles=self._bundles.finish(),
-            categorizer=categorizer,
             rank_table=RankTable(self._popularity),
             num_sessions=self._num_sessions,
             num_sequences=self._num_sequences,
@@ -201,13 +192,6 @@ def models_fingerprint(models: "MinedModels") -> str:
         _hash_update(h, "model", "ppm", ppm.order, ppm.blend,
                      ppm._trained_sequences, _counts_items(ppm._counts))
     _hash_update(h, "bundles", sorted(models.bundles.as_dict().items()))
-    cat = models.categorizer
-    if cat is None:
-        _hash_update(h, "categorizer", None)
-    else:
-        _hash_update(h, "categorizer", [
-            (p.name, sorted(p.page_weights.items())) for p in cat.profiles
-        ])
     _hash_update(h, "ranks", sorted(models.rank_table.items()))
     return h.hexdigest()
 

@@ -37,7 +37,10 @@ __all__ = ["ModelCache", "mining_fingerprint", "cached_mine_models"]
 
 #: Bump when the pickle payload's meaning changes (new MinedModels
 #: fields, different mining semantics) to invalidate old entries.
-CACHE_SCHEMA = "prord-mined-models/v2"  # v2: DependencyGraph._totals
+#: v2: DependencyGraph._totals.  v3: no categorizer field; MinedModels
+#: pickles as a list of slot values, so a v2 entry without a categorizer
+#: would load with every later field shifted onto the wrong one, silently.
+CACHE_SCHEMA = "prord-mined-models/v3"
 
 
 def mining_fingerprint(

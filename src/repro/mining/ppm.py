@@ -4,8 +4,9 @@ The related-work comparator (§2.2.3, [26]): a j-order Markov predictor
 that keeps counts for *every* observed context of length 1..j — unlike
 the dependency graph it does not restrict storage to directly-linked
 page relations, which is exactly the memory overhead the paper calls
-"the bottleneck of the scheme".  Included so the benches can compare
-prediction accuracy and table size against the dependency graph.
+"the bottleneck of the scheme".  Selectable as the prefetch
+predictor's navigation model (``predictor_kind="ppm"``), so its table
+size can be compared against the dependency graph's.
 """
 
 from __future__ import annotations

@@ -15,21 +15,12 @@ Entry points:
 * :func:`merge_telemetry` — fold per-run summaries across a grid.
 * :func:`build_manifest` / :class:`RunManifest` — provenance records
   with deterministic fingerprints.
-* :mod:`~repro.obs.export` / :mod:`~repro.obs.dashboard` — JSONL / CSV
-  / Prometheus text, and terminal sparkline dashboards.
+* :mod:`~repro.obs.export` / :mod:`~repro.obs.dashboard` — timeline
+  JSONL (and its reader), and terminal sparkline dashboards.
 """
 
-from .dashboard import (
-    matplotlib_available,
-    render_dashboard,
-    write_matplotlib_charts,
-)
-from .export import (
-    prometheus_text,
-    timeline_csv,
-    timeline_jsonl,
-    windows_from_jsonl,
-)
+from .dashboard import render_dashboard
+from .export import timeline_jsonl, windows_from_jsonl
 from .histogram import StreamingHistogram
 from .manifest import (
     MANIFEST_SCHEMA,
@@ -67,13 +58,9 @@ __all__ = [
     "TimelineRecorder",
     "TimelineWindow",
     "build_manifest",
-    "matplotlib_available",
     "merge_telemetry",
-    "prometheus_text",
     "render_dashboard",
-    "timeline_csv",
     "timeline_jsonl",
     "windows_from_jsonl",
     "workload_identity",
-    "write_matplotlib_charts",
 ]

@@ -4,23 +4,14 @@ Renders a telemetered run as per-backend sparkline strips — CPU
 utilization, queue depth, cache occupancy over time — plus cluster-wide
 completion/dispatch series, the latency percentile block, and the phase
 profile.  Everything is plain Unicode so it works where the experiment
-report's charts do; :func:`write_matplotlib_charts` produces real PNG
-charts when matplotlib happens to be installed (it is optional and the
-import is gated — the library never requires it).
+report's charts do.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Mapping
-
 from .telemetry import TelemetrySummary
 
-__all__ = [
-    "render_dashboard",
-    "matplotlib_available",
-    "write_matplotlib_charts",
-]
+__all__ = ["render_dashboard"]
 
 
 def _sparkline(values) -> str:
@@ -98,61 +89,3 @@ def render_dashboard(summary: TelemetrySummary, *,
             lines.append(f"  {name:<20s} {t.wall_s * 1e3:9.2f} ms "
                          f"x{t.calls}{rate}")
     return "\n".join(lines)
-
-
-def matplotlib_available() -> bool:
-    try:  # pragma: no cover - depends on environment
-        import matplotlib  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-def write_matplotlib_charts(
-    summaries: Mapping[str, TelemetrySummary],
-    out_dir: Path | str,
-) -> list[Path]:
-    """Write one PNG per summary (requires optional matplotlib).
-
-    Raises :class:`RuntimeError` when matplotlib is not installed — the
-    CLI catches this and falls back to the ASCII dashboard with a note.
-    """
-    if not matplotlib_available():
-        raise RuntimeError(
-            "matplotlib is not installed; the ASCII dashboard "
-            "(`repro timeline` without --charts) needs no extras"
-        )
-    import matplotlib
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name, summary in summaries.items():
-        timeline = summary.timeline
-        if not timeline.windows:
-            continue
-        mids = [w.start + w.width / 2 for w in timeline.windows]
-        fig, (ax_util, ax_thr) = plt.subplots(
-            2, 1, sharex=True, figsize=(8, 6))
-        for sid in range(timeline.n_servers):
-            ax_util.plot(mids, timeline.utilization_series(sid),
-                         label=f"backend {sid}", linewidth=1)
-        ax_util.set_ylabel("CPU utilization")
-        ax_util.set_ylim(0, 1.05)
-        ax_util.legend(fontsize=6, ncol=4)
-        ax_thr.plot(
-            mids,
-            [w.completions / w.width if w.width else 0.0
-             for w in timeline.windows],
-            color="black",
-        )
-        ax_thr.set_ylabel("completions/s")
-        ax_thr.set_xlabel("simulated time (s)")
-        fig.suptitle(name)
-        path = out_dir / f"{name.replace('/', '_')}.png"
-        fig.savefig(path, dpi=120)
-        plt.close(fig)
-        written.append(path)
-    return written

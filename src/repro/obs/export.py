@@ -1,29 +1,22 @@
-"""Exporters for telemetry: JSON-lines, CSV, Prometheus text.
+"""Timeline export: one JSON line per window, read back by
+:func:`windows_from_jsonl`.
 
-Three consumers, three formats:
-
-* **JSONL** — one self-describing line per timeline window (plus a
-  footer with window/cell counts), the format CI archives;
-* **CSV** — one row per (window, backend), for spreadsheet plotting;
-* **Prometheus text exposition** — the end-of-run state rendered as
-  counters/gauges/summary quantiles, so a real scrape endpoint could
-  serve the same names.
+Each line is self-describing (the cell's labels, the window's bounds
+and counters, one record per backend), and a footer with the cell and
+window counts ends the file so a truncated one is detectable.  This is
+the format CI archives.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Iterable, Mapping
 
-from .telemetry import MergedTelemetry, TelemetrySummary
+from .telemetry import TelemetrySummary
 from .timeline import TimelineWindow
 
 __all__ = [
     "timeline_jsonl",
-    "timeline_csv",
-    "prometheus_text",
     "windows_from_jsonl",
 ]
 
@@ -99,95 +92,3 @@ def windows_from_jsonl(text: str) -> tuple[list[dict], dict | None]:
         else:
             records.append(d)
     return records, footer
-
-
-def timeline_csv(summary: TelemetrySummary,
-                 labels: Mapping[str, object] | None = None) -> str:
-    """One CSV row per (window, backend)."""
-    labels = dict(labels or {})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        *labels.keys(), "window", "start", "width", "server",
-        "cpu_utilization", "disk_utilization", "queue_depth", "active",
-        "cache_bytes", "cache_hits", "cache_misses", "completions",
-    ])
-    for i, window in enumerate(summary.timeline.windows):
-        for sid, s in enumerate(window.servers):
-            writer.writerow([
-                *labels.values(), i, window.start, window.width, sid,
-                f"{s.utilization(window.width):.6f}",
-                f"{s.disk_busy_s / window.width:.6f}"
-                if window.width > 0 else "0",
-                s.queue_depth, s.active, s.cache_bytes,
-                s.cache_hits, s.cache_misses, s.completions,
-            ])
-    return buf.getvalue()
-
-
-def _labels(labels: Mapping[str, object]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def prometheus_text(
-    summary: TelemetrySummary | MergedTelemetry,
-    labels: Mapping[str, object] | None = None,
-) -> str:
-    """End-of-run telemetry in Prometheus text exposition format."""
-    labels = dict(labels or {})
-    lines: list[str] = []
-
-    def emit(name: str, kind: str, value: float | int,
-             extra: Mapping[str, object] | None = None,
-             help_text: str | None = None) -> None:
-        if help_text is not None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-        lines.append(f"{name}{_labels({**labels, **(extra or {})})} "
-                     f"{value}")
-
-    emit("repro_completions_total", "counter", summary.completions,
-         help_text="Requests completed during the run")
-    emit("repro_events_total", "counter", summary.events_processed,
-         help_text="Engine events processed")
-    first = True
-    for q in (0.5, 0.95, 0.99):
-        emit("repro_response_seconds", "summary",
-             summary.response_hist.percentile(q * 100),
-             extra={"quantile": f"{q:g}"},
-             help_text=("Response time quantiles (log-bucketed "
-                        "approximation)") if first else None)
-        first = False
-    lines.append(f"repro_response_seconds_sum{_labels(labels)} "
-                 f"{summary.response_hist.total}")
-    lines.append(f"repro_response_seconds_count{_labels(labels)} "
-                 f"{summary.response_hist.count}")
-    timeline = getattr(summary, "timeline", None)
-    if timeline is not None and timeline.windows:
-        last = timeline.windows[-1]
-        duration = sum(w.width for w in timeline.windows)
-        first = True
-        for sid in range(timeline.n_servers):
-            busy = sum(w.servers[sid].cpu_busy_s for w in timeline.windows)
-            emit("repro_backend_cpu_utilization", "gauge",
-                 round(busy / duration, 6) if duration > 0 else 0.0,
-                 extra={"server": sid},
-                 help_text=("Whole-run backend CPU utilization"
-                            if first else None))
-            first = False
-        first = True
-        for sid, s in enumerate(last.servers):
-            emit("repro_backend_cache_bytes", "gauge", s.cache_bytes,
-                 extra={"server": sid},
-                 help_text=("Resident cache bytes at end of run"
-                            if first else None))
-            first = False
-        totals = timeline.totals()
-        emit("repro_dispatches_total", "counter", totals["dispatches"],
-             help_text="Dispatcher lookups charged to requests")
-        emit("repro_handoffs_total", "counter", totals["handoffs"],
-             help_text="TCP handoffs performed")
-    return "\n".join(lines) + "\n"

@@ -14,6 +14,9 @@ against :func:`numpy.percentile` on the same samples.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import repeat
+from operator import truediv
 from typing import Iterable, Mapping
 
 __all__ = ["StreamingHistogram"]
@@ -77,8 +80,46 @@ class StreamingHistogram:
             self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
     def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
+        """Record many observations; the result equals one :meth:`add`
+        per value, in order.
+
+        The buckets are counted at C speed: ``map`` over the same index
+        expression as :meth:`_index`, then a :class:`Counter`.  ``total``
+        is summed by plain addition in order, because ``sum()`` is
+        compensated from Python 3.12, which would change its last bits.
+        A batch holding a negative, NaN or infinite value goes through
+        :meth:`add` one value at a time, which raises at that value.
+        """
+        values = list(values)
+        if not values:
+            return
+        total = self.total
+        for value in values:
+            total += value
+        low = min(values)
+        if not (low >= 0.0 and math.isfinite(total)):
+            for value in values:
+                self.add(value)
+            return
+        min_value = self.min_value
+        in_range = values
+        if low < min_value:
+            in_range = [v for v in values if v >= min_value]
+            zeros = values.count(0.0)
+            self.zeros += zeros
+            self.underflow += len(values) - zeros - len(in_range)
+        indices = map(math.floor, map(
+            truediv,
+            map(math.log, map(truediv, in_range, repeat(min_value))),
+            repeat(self._log_growth),
+        ))
+        buckets = self._buckets
+        for idx, n in Counter(indices).items():
+            buckets[idx] = buckets.get(idx, 0) + n
+        self.count += len(values)
+        self.total = total
+        self.min_seen = min(self.min_seen, low)
+        self.max_seen = max(self.max_seen, max(values))
 
     # -- queries -----------------------------------------------------------
 

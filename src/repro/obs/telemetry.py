@@ -10,7 +10,11 @@ It bundles:
 * two :class:`~repro.obs.histogram.StreamingHistogram`\\ s — observed
   **response time** (sojourn) and modeled **service demand** (the cost
   the request would pay with zero queueing: backend CPU + transfer,
-  plus the disk read on a miss) — whose gap is pure queueing delay;
+  plus the disk read on a miss) — whose gap is pure queueing delay.
+  Both are folded once, at :meth:`Telemetry.finalize`, from the
+  completion columns the run's
+  :class:`~repro.sim.stats.MetricsCollector` keeps anyway, so the
+  simulation's per-completion path carries no telemetry call;
 * a :class:`~repro.obs.profiler.PhaseProfiler` for mining / replication
   / event-loop wall-clock.
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .histogram import StreamingHistogram
@@ -41,7 +46,6 @@ from .profiler import PhaseProfiler, PhaseTiming
 from .timeline import Timeline, TimelineRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..logs.records import Request
     from ..sim.cluster import ClusterSimulator
 
 __all__ = [
@@ -190,7 +194,6 @@ class Telemetry:
         self.profiler = PhaseProfiler()
         self.recorder: TimelineRecorder | None = None
         self.cluster: "ClusterSimulator | None" = None
-        self._completions = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -203,34 +206,46 @@ class Telemetry:
         self.recorder = TimelineRecorder(window, max_windows=MAX_WINDOWS)
         self.recorder.attach(cluster)
 
-    # -- observation hooks (called by the cluster) -------------------------
-
-    def note_completion(self, req: "Request", server_id: int,
-                        hit: bool) -> None:
-        cluster = self.cluster
-        assert cluster is not None and self.recorder is not None
-        self._completions += 1
-        self.response_hist.add(cluster.sim.now - req.arrival)
-        params = cluster.params
-        if req.dynamic:
-            demand = params.backend_cpu_s + params.dynamic_cpu_s
-        else:
-            demand = params.backend_cpu_s + params.transmit_s(req.size)
-            if not hit:
-                demand += params.disk_service_s(req.size)
-        self.service_hist.add(demand)
-
     # -- finish ------------------------------------------------------------
 
     def finalize(self) -> TelemetrySummary:
-        """Freeze the run's telemetry (call after the calendar drains)."""
-        if self.cluster is None or self.recorder is None:
+        """Freeze the run's telemetry (call after the calendar drains).
+
+        Folds every completion into the two histograms, in completion
+        order: the same values, in the same order, that one ``add`` per
+        completion during the run would have recorded.
+        """
+        cluster = self.cluster
+        if cluster is None or self.recorder is None:
             raise RuntimeError("telemetry is not attached to a cluster")
+        # Private-state access is deliberate: these are the collector's
+        # own completion columns, read once after the run.
+        metrics = cluster.metrics
+        self.response_hist.extend(
+            map(sub, metrics._completion, metrics._arrival))
+        # Service demand per completion: priced once per distinct size.
+        # Deferred import: at module level, importing ``repro.obs`` would
+        # load the whole simulator package.
+        from ..sim.soa import service_time_arrays
+        params = cluster.params
+        sizes = list(dict.fromkeys(metrics._size))
+        tx, disk = service_time_arrays(
+            sizes, params.transmit_us_per_kb,
+            params.disk_latency_fixed_ms, params.disk_us_per_kb)
+        cpu = params.backend_cpu_s
+        on_hit = {size: cpu + t for size, t in zip(sizes, tx)}
+        on_miss = {size: cpu + t + d for size, t, d in zip(sizes, tx, disk)}
+        generated = cpu + params.dynamic_cpu_s
+        self.service_hist.extend([
+            generated if dynamic else (on_hit if hit else on_miss)[size]
+            for dynamic, hit, size in zip(
+                metrics._dynamic, metrics._hit, metrics._size)
+        ])
         return TelemetrySummary(
             timeline=self.recorder.finalize(),
             response_hist=self.response_hist,
             service_hist=self.service_hist,
             phases=self.profiler.items(),
-            events_processed=self.cluster.sim.events_processed,
-            completions=self._completions,
+            events_processed=cluster.sim.events_processed,
+            completions=metrics.completed,
         )

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 
 from ..logs.records import Request
 from ..mining.bundles import BundleTable
-from ..mining.categorize import UserCategorizer
 from ..mining.prefetch import PrefetchPredictor
 from .base import Policy, PrefetchDirective, RoutingDecision
 
@@ -96,7 +95,6 @@ class PRORDComponents:
 
     bundles: BundleTable | None = None
     predictor: PrefetchPredictor | None = None
-    categorizer: UserCategorizer | None = None
 
     @classmethod
     def empty(cls) -> "PRORDComponents":
@@ -109,7 +107,7 @@ class PRORDPolicy(Policy):
     Parameters
     ----------
     components:
-        Mined artifacts (bundles, navigation predictor, categorizer).
+        Mined artifacts (bundles, navigation predictor).
     features:
         Enhancement flags; defaults to all on.
     max_bundle_prefetch:

@@ -12,8 +12,7 @@ from .differential import (
 from .engine import PRIORITY_DEMAND, PRIORITY_PREFETCH, Resource, Simulator
 from .failures import Failure, FailureSchedule
 from .frontend import ConnectionState, Dispatcher
-from .gdsf import GDSFCache, PredictiveGDSFCache, make_cache
-from .power import PowerManager, PowerReport
+from .gdsf import GDSFCache, make_cache
 from .server import BackendServer
 from .stats import CompletionRecord, MetricsCollector, SimulationReport
 from .tracing import RequestTracer, TraceEvent, events_from_jsonl
@@ -27,8 +26,7 @@ __all__ = [
     "PRIORITY_DEMAND", "PRIORITY_PREFETCH", "Resource", "Simulator",
     "Failure", "FailureSchedule",
     "ConnectionState", "Dispatcher",
-    "GDSFCache", "PredictiveGDSFCache", "make_cache",
-    "PowerManager", "PowerReport",
+    "GDSFCache", "make_cache",
     "BackendServer",
     "CompletionRecord", "MetricsCollector", "SimulationReport",
     "RequestTracer", "TraceEvent", "events_from_jsonl",

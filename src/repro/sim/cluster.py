@@ -59,7 +59,6 @@ from ..policies.base import Policy, RoutingDecision
 from .audit import AuditSummary, SimulationAuditor
 from .engine import Resource, Simulator
 from .frontend import ConnectionState, Dispatcher
-from .power import PowerManager, PowerReport
 from .server import BackendServer
 from .soa import FlowTable, service_time_arrays
 from .stats import MetricsCollector, SimulationReport
@@ -219,7 +218,6 @@ class SimulationResult:
     trace_name: str
     n_backends: int
     report: SimulationReport
-    power: PowerReport
     frontend_utilization: float
     server_utilizations: tuple[dict[str, float], ...]
     warmup_until: float
@@ -295,7 +293,6 @@ class ClusterSimulator:
         tracer: "RequestTracer | None" = None,
         catalog: Mapping[str, int] | None = None,
         failures: "FailureSchedule | None" = None,
-        future_weights: Mapping[str, float] | None = None,
         auditor: "SimulationAuditor | None" = None,
         telemetry: "Telemetry | None" = None,
         arrival_window: int | None = None,
@@ -344,8 +341,6 @@ class ClusterSimulator:
                 self.sim, i, self.params,
                 on_cache_insert=self.dispatcher.on_insert,
                 on_cache_evict=self.dispatcher.on_evict,
-                future_weights=(dict(future_weights)
-                                if future_weights else None),
                 flows=self.flows,
                 down_counter=self._down_count,
             )
@@ -365,7 +360,6 @@ class ClusterSimulator:
             for i in range(self.params.n_frontends)
         ]
         self.frontend_cpu = self.frontends[0]
-        self.power = PowerManager(self.sim, self.params, self.servers)
         self.replicator = replicator
         self._connections: dict[int, ConnectionState] = {}
         #: per-connection requests not yet completed (Counter: the
@@ -622,8 +616,6 @@ class ClusterSimulator:
         self.metrics.record_completion(req, now, server_id, hit)
         if self.auditor is not None:
             self.auditor.note_completion(req, server_id, hit)
-        if self.telemetry is not None:
-            self.telemetry.note_completion(req, server_id, hit)
         self.policy.on_complete(req, server_id, hit)
         if on_complete is not None:
             on_complete(server_id, hit)
@@ -664,7 +656,6 @@ class ClusterSimulator:
                 warmup_until=warmup_until,
                 window_end=self.window_s,
             ),
-            power=self.power.report(),
             frontend_utilization=max(
                 f.utilization(elapsed) for f in self.frontends
             ),

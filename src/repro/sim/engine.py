@@ -258,8 +258,7 @@ class Resource:
 
     Jobs are served one at a time; among the queued jobs the lowest
     ``(priority, arrival-order)`` goes next.  Jobs already in service are
-    never preempted.  Utilisation bookkeeping feeds the power model and
-    the stats layer.
+    never preempted.  Utilisation bookkeeping feeds the stats layer.
     """
 
     def __init__(self, sim: Simulator, name: str = "resource") -> None:

@@ -1,20 +1,11 @@
-"""GDSF cache replacement and its web-log-mining extension.
+"""GDSF cache replacement (Greedy-Dual-Size-Frequency, Cherkasova [30]).
 
-The paper's lineage includes two cache-replacement refinements:
-
-* **GDSF** (Greedy-Dual-Size-Frequency, Cherkasova [30]): each resident
-  file gets priority ``L + frequency * cost / size`` — small, popular,
-  expensive-to-fetch files survive; the aging term ``L`` (the priority
-  of the last eviction) keeps stale popularity from pinning files
-  forever.
-* **Predictive GDSF** (Yang et al. [20]): "splitting frequency into
-  future frequency and past frequency through an association rule" —
-  the frequency term mixes the observed hit count with a *predicted*
-  future-popularity score mined from the logs.
-
-Both implement the same interface as
-:class:`~repro.sim.cache.LRUCache`, so a backend server can run any of
-the three (see ``SimulationParams.cache_policy``).
+Each resident file gets priority ``L + frequency * cost / size`` —
+small, popular, expensive-to-fetch files survive; the aging term ``L``
+(the priority of the last eviction) keeps stale popularity from pinning
+files forever.  :class:`GDSFCache` implements the same interface as
+:class:`~repro.sim.cache.LRUCache`, so a backend server can run either
+(see ``SimulationParams.cache_policy``).
 """
 
 from __future__ import annotations
@@ -22,9 +13,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
-__all__ = ["GDSFCache", "PredictiveGDSFCache", "make_cache"]
+__all__ = ["GDSFCache", "make_cache"]
 
 
 @dataclass(slots=True)
@@ -69,18 +60,13 @@ class GDSFCache:
 
     # -- GDSF scoring ---------------------------------------------------------
 
-    def _score(self, path: str, entry: _Entry) -> float:
+    def _score(self, entry: _Entry) -> float:
         # cost/size with unit cost: classic GDSF favours small files.
-        return self._L + entry.frequency * self._frequency_weight(path) \
-            / max(entry.size, 1) * 1024.0
-
-    def _frequency_weight(self, path: str) -> float:
-        """Hook for the predictive variant (1.0 = pure past frequency)."""
-        return 1.0
+        return self._L + entry.frequency / max(entry.size, 1) * 1024.0
 
     def _push(self, path: str) -> None:
         entry = self._entries[path]
-        entry.priority = self._score(path, entry)
+        entry.priority = self._score(entry)
         heapq.heappush(self._heap, (entry.priority, next(self._seq), path))
 
     # -- queries ----------------------------------------------------------------
@@ -217,44 +203,14 @@ class GDSFCache:
                       key=lambda p: (self._entries[p].priority, p))
 
 
-class PredictiveGDSFCache(GDSFCache):
-    """GDSF with mined future frequency (Yang et al. [20]).
-
-    ``future_weight(path)`` values above 1 boost files the log mining
-    expects to stay popular; values below 1 demote files whose
-    popularity is historical.  A :class:`~repro.mining.popularity.RankTable`
-    normalised rank works well: ``weight = 0.5 + rank``.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        future_weights: Mapping[str, float] | None = None,
-        *,
-        default_weight: float = 1.0,
-        on_insert: Callable[[str], None] | None = None,
-        on_evict: Callable[[str], None] | None = None,
-    ) -> None:
-        super().__init__(capacity_bytes, on_insert=on_insert,
-                         on_evict=on_evict)
-        if default_weight <= 0:
-            raise ValueError("default_weight must be positive")
-        self.future_weights = dict(future_weights or {})
-        self.default_weight = default_weight
-
-    def _frequency_weight(self, path: str) -> float:
-        return self.future_weights.get(path, self.default_weight)
-
-
 def make_cache(
     policy: str,
     capacity_bytes: int,
     *,
-    future_weights: Mapping[str, float] | None = None,
     on_insert: Callable[[str], None] | None = None,
     on_evict: Callable[[str], None] | None = None,
 ):
-    """Build a cache by policy name: ``lru`` / ``gdsf`` / ``gdsf-pred``."""
+    """Build a cache by policy name: ``lru`` / ``gdsf``."""
     if policy == "lru":
         from .cache import LRUCache
         return LRUCache(capacity_bytes, on_insert=on_insert,
@@ -262,10 +218,4 @@ def make_cache(
     if policy == "gdsf":
         return GDSFCache(capacity_bytes, on_insert=on_insert,
                          on_evict=on_evict)
-    if policy == "gdsf-pred":
-        return PredictiveGDSFCache(capacity_bytes,
-                                   future_weights=future_weights,
-                                   on_insert=on_insert, on_evict=on_evict)
-    raise ValueError(
-        f"unknown cache policy {policy!r}; known: lru, gdsf, gdsf-pred"
-    )
+    raise ValueError(f"unknown cache policy {policy!r}; known: lru, gdsf")

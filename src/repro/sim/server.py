@@ -88,7 +88,6 @@ class BackendServer:
         *,
         on_cache_insert: Callable[[int, str], None] | None = None,
         on_cache_evict: Callable[[int, str], None] | None = None,
-        future_weights: dict[str, float] | None = None,
         flows: FlowTable | None = None,
         down_counter: list[int] | None = None,
     ) -> None:
@@ -103,7 +102,6 @@ class BackendServer:
         self.cache = make_cache(
             params.cache_policy,
             params.server_cache_bytes,
-            future_weights=future_weights,
             on_insert=self._cache_inserted,
             on_evict=self._cache_evicted,
         )
@@ -134,9 +132,6 @@ class BackendServer:
         # of useful/wasted so the reported totals stay exact).
         self._guard_useful = 0
         self._guard_wasted = 0
-        #: optional hook returning extra start latency (power wake-up)
-        self.start_latency_hook: Callable[["BackendServer"], float] | None = None
-        self.on_idle: Callable[["BackendServer"], None] | None = None
         #: False while the node is crashed (failure injection)
         self.up = True
         # Hoisted cost-model constants and pre-bound stage callbacks:
@@ -145,7 +140,6 @@ class BackendServer:
         self._max_workers = params.backend_workers
         self._cpu_s = params.backend_cpu_s
         self._dyn_cpu_s = params.dynamic_cpu_s
-        self._start_cb = self._flow_start
         self._after_cpu_cb = self._flow_after_cpu
         self._after_disk_cb = self._flow_after_disk
         self._transmit_miss_cb = self._flow_transmit_miss
@@ -209,14 +203,6 @@ class BackendServer:
             raise ValueError("size must be positive")
         self.active += 1
         self.dynamic_served += f.dynamic[slot]
-        if self.start_latency_hook is not None:
-            extra = self.start_latency_hook(self)
-            if extra > 0:
-                self.sim.schedule(extra, self._start_cb, slot)
-                return
-        self._flow_start(slot)
-
-    def _flow_start(self, slot: int) -> None:
         # Admission: a request needs a worker slot for its whole
         # lifetime (including any disk wait).  When all slots are
         # busy, it queues FCFS — this couples miss latency into hit
@@ -281,8 +267,6 @@ class BackendServer:
             self._workers_busy -= 1
         f = self.flows
         f.finish[slot](slot, self.server_id, f.hit[slot])  # type: ignore[misc]
-        if self.active == 0 and self.on_idle is not None:
-            self.on_idle(self)
 
     # -- proactive paths ----------------------------------------------------------
 

@@ -91,7 +91,7 @@ class CompletionRecord:
     completion: float
     server_id: int
     hit: bool
-    is_embedded: bool
+    dynamic: bool
     size: int
 
     @property
@@ -195,14 +195,14 @@ class MetricsCollector:
         self._completion: list[float] = []
         self._server: list[int] = []
         self._hit: list[bool] = []
-        self._embedded: list[bool] = []
+        self._dynamic: list[bool] = []
         self._size: list[int] = []
         # Bound appends: record_completion runs once per served request.
         self._push_arrival = self._arrival.append
         self._push_completion = self._completion.append
         self._push_server = self._server.append
         self._push_hit = self._hit.append
-        self._push_embedded = self._embedded.append
+        self._push_dynamic = self._dynamic.append
         self._push_size = self._size.append
         self.dispatches = 0
         self.handoffs = 0
@@ -233,7 +233,7 @@ class MetricsCollector:
         self._push_completion(completion)
         self._push_server(server_id)
         self._push_hit(hit)
-        self._push_embedded(request.is_embedded)
+        self._push_dynamic(request.dynamic)
         self._push_size(request.size)
 
     def count_dispatch(self) -> None:
@@ -262,10 +262,10 @@ class MetricsCollector:
     def records(self) -> Sequence[CompletionRecord]:
         """Materialised per-completion records (built on demand)."""
         return [
-            CompletionRecord(a, c, s, h, e, z)
-            for a, c, s, h, e, z in zip(
+            CompletionRecord(a, c, s, h, d, z)
+            for a, c, s, h, d, z in zip(
                 self._arrival, self._completion, self._server,
-                self._hit, self._embedded, self._size,
+                self._hit, self._dynamic, self._size,
             )
         ]
 

@@ -9,8 +9,6 @@ field-for-field identical :class:`SimulationResult` as the legacy eager
 schedule (``arrival_window=0``).
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,7 +61,6 @@ def _observable(result, cluster, tracer):
     """Everything a run exposes, flattened for exact comparison."""
     return {
         **report_fields(result),
-        "power": dataclasses.asdict(result.power),
         "frontend_utilization": result.frontend_utilization,
         "server_utilizations": result.server_utilizations,
         "dispatcher_lookups": result.dispatcher_lookups,

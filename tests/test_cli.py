@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import gzip
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -227,7 +228,10 @@ class TestExperimentCommands:
             [sys.executable, "-m", f"repro.experiments.{command}"],
             capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": str(Path(repro.__file__).parents[1]),
-                 "PATH": "/usr/bin:/bin"},
+                 "PATH": "/usr/bin:/bin",
+                 # The caller's bytecode setting passes through.
+                 **{k: v for k, v in os.environ.items()
+                    if k == "PYTHONDONTWRITEBYTECODE"}},
         )
         assert proc.returncode != 0
         assert proc.stdout == ""

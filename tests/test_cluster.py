@@ -168,9 +168,3 @@ class TestResultShape:
         assert "wrr" in result.summary()
         assert result.throughput_rps > 0
         assert 0 <= result.hit_rate <= 1
-
-    def test_power_report_present(self):
-        result = ClusterSimulator(simple_trace(), WRRPolicy(),
-                                  params()).run()
-        assert result.power.energy_units > 0
-        assert result.power.wakeups == 0

@@ -71,7 +71,7 @@ _POSITIVE_COSTS = (
 )
 _NON_NEGATIVE_COSTS = (
     "disk_us_per_kb", "frontend_parse_us", "dispatch_us",
-    "dynamic_cpu_ms", "hibernate_after_s", "wakeup_latency_s",
+    "dynamic_cpu_ms",
 )
 
 

@@ -1,10 +1,10 @@
-"""Tests for GDSF and predictive-GDSF cache replacement."""
+"""Tests for GDSF cache replacement and the cache factory."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import SimulationParams
-from repro.sim import GDSFCache, LRUCache, PredictiveGDSFCache, make_cache
+from repro.sim import GDSFCache, LRUCache, make_cache
 
 
 class TestGDSFBasics:
@@ -120,38 +120,22 @@ class TestGDSFReplacement:
                 sizes[p] for p in c.contents())
 
 
-class TestPredictiveGDSF:
-    def test_default_weight_validated(self):
-        with pytest.raises(ValueError):
-            PredictiveGDSFCache(100, default_weight=0)
-
-    def test_future_weight_protects_predicted_file(self):
-        weights = {"/future": 10.0}
-        c = PredictiveGDSFCache(100, weights)
-        c.insert("/future", 50)
-        c.insert("/plain", 50)
-        for _ in range(3):
-            c.access("/plain")  # more *past* popularity
-        evicted = c.insert("/new", 40)
-        # Despite fewer hits, the mined future frequency keeps /future.
-        assert "/future" not in evicted
-        assert "/plain" in evicted
-
-
 class TestFactory:
     def test_all_policies(self):
         assert isinstance(make_cache("lru", 100), LRUCache)
         assert isinstance(make_cache("gdsf", 100), GDSFCache)
-        assert isinstance(make_cache("gdsf-pred", 100),
-                          PredictiveGDSFCache)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown cache policy"):
             make_cache("bogus", 100)
+        with pytest.raises(ValueError, match="unknown cache policy"):
+            make_cache("gdsf-pred", 100)
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="cache_policy"):
             SimulationParams(cache_policy="bogus")
+        with pytest.raises(ValueError, match="cache_policy"):
+            SimulationParams(cache_policy="gdsf-pred")
 
     def test_server_uses_configured_cache(self):
         from repro.sim import BackendServer, Simulator

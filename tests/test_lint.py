@@ -9,6 +9,7 @@ get their own tests below.
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -243,7 +244,10 @@ def test_module_entrypoint_runs() -> None:
         [sys.executable, "-m", "repro.lint", "--list-rules"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin",
+             # The caller's bytecode setting passes through.
+             **{k: v for k, v in os.environ.items()
+                if k == "PYTHONDONTWRITEBYTECODE"}},
     )
     assert proc.returncode == 0
     assert "determinism" in proc.stdout

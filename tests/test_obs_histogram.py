@@ -1,9 +1,11 @@
 """Tests for the streaming log-bucketed histogram."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs import StreamingHistogram
 
@@ -46,6 +48,44 @@ class TestBucketing:
             StreamingHistogram(min_value=0.0)
         with pytest.raises(ValueError):
             StreamingHistogram(growth=1.0)
+
+
+class TestExtend:
+    @given(
+        before=st.lists(st.floats(0.0, 10.0), max_size=5),
+        values=st.lists(
+            st.one_of(st.floats(0.0, 10.0), st.just(0.0), st.just(-0.0),
+                      st.floats(1e-12, 1e-3)),
+            max_size=300),
+    )
+    def test_extend_equals_one_add_per_value(self, before, values):
+        batch = StreamingHistogram(min_value=1e-3)
+        single = StreamingHistogram(min_value=1e-3)
+        for v in before:
+            batch.add(v)
+            single.add(v)
+        batch.extend(iter(values))
+        for v in values:
+            single.add(v)
+        assert batch.to_dict() == single.to_dict()
+        # ``to_dict`` keeps floats exact: ``total`` is summed in order.
+        assert batch.total == single.total
+
+    def test_bad_value_raises_like_add(self):
+        for bad, error in ((-1.0, ValueError), (math.nan, ValueError),
+                           (math.inf, OverflowError)):
+            batch = StreamingHistogram()
+            single = StreamingHistogram()
+            with pytest.raises(error):
+                batch.extend([0.5, bad, 0.7])
+            single.add(0.5)
+            with pytest.raises(error):
+                single.add(bad)
+            # The same partial state as add: the values before the bad
+            # one, and whatever add records before raising.
+            assert batch.count == single.count
+            assert batch._buckets == single._buckets == {
+                single._index(0.5): 1}
 
 
 class TestPercentiles:

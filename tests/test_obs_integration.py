@@ -14,17 +14,21 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import run_policy
+from repro.core import SimulationParams, run_policy
 from repro.experiments import Cell, loaded_workload, run_grid
+from repro.logs import SiteSpec, TraceGenerator, TrafficSpec, build_site
 from repro.obs import (
+    StreamingHistogram,
+    Telemetry,
     build_manifest,
     merge_telemetry,
-    prometheus_text,
     render_dashboard,
-    timeline_csv,
     timeline_jsonl,
     windows_from_jsonl,
 )
+from repro.obs.telemetry import HIST_GROWTH, HIST_MIN_S
+from repro.policies import WRRPolicy
+from repro.sim import ClusterSimulator
 from tests.test_obs_timeline import MICRO
 
 GRID = [Cell(workload="synthetic", policy=p) for p in ("lard", "prord")]
@@ -86,6 +90,42 @@ class TestPoolMerge:
             merge_telemetry([None, None])
 
 
+class TestFinalizeFold:
+    def test_histograms_equal_one_add_per_completion(self):
+        site = build_site(SiteSpec(categories=("a", "b"),
+                                   pages_per_category=30,
+                                   dynamic_fraction=0.3, seed=4))
+        trace = TraceGenerator(site, TrafficSpec(num_requests=600,
+                                                 seed=2)).generate()
+        params = SimulationParams(n_backends=2, cache_bytes=64 * 1024)
+        telemetry = Telemetry()
+        cluster = ClusterSimulator(trace, WRRPolicy(), params,
+                                   telemetry=telemetry)
+        cluster.run()
+        summary = telemetry.finalize()
+        records = cluster.metrics.records
+        assert any(r.dynamic for r in records)
+        assert any(not r.dynamic and not r.hit for r in records)
+        # The reference: one add per completion, in completion order,
+        # with the scalar cost-model methods.
+        response = StreamingHistogram(min_value=HIST_MIN_S,
+                                      growth=HIST_GROWTH)
+        service = StreamingHistogram(min_value=HIST_MIN_S,
+                                     growth=HIST_GROWTH)
+        for r in records:
+            response.add(r.completion - r.arrival)
+            if r.dynamic:
+                demand = params.backend_cpu_s + params.dynamic_cpu_s
+            else:
+                demand = params.backend_cpu_s + params.transmit_s(r.size)
+                if not r.hit:
+                    demand += params.disk_service_s(r.size)
+            service.add(demand)
+        assert summary.response_hist.to_dict() == response.to_dict()
+        assert summary.service_hist.to_dict() == service.to_dict()
+        assert summary.completions == len(records) == 600
+
+
 class TestExports:
     def test_jsonl_round_trip(self, telemetered):
         entries = [({"policy": r.cell.policy}, r.result.telemetry)
@@ -98,21 +138,6 @@ class TestExports:
         # Labels are folded into every window line.
         assert sum(1 for rec in records
                    if rec["policy"] == "prord") > 0
-
-    def test_csv(self, telemetered):
-        text = timeline_csv(telemetered[0].result.telemetry,
-                            labels={"policy": "lard"})
-        header, *rows = text.strip().splitlines()
-        assert "completions" in header
-        timeline = telemetered[0].result.telemetry.timeline
-        assert len(rows) == len(timeline) * timeline.n_servers
-
-    def test_prometheus(self, telemetered):
-        summary = telemetered[0].result.telemetry
-        text = prometheus_text(summary, labels={"policy": "lard"})
-        assert 'quantile="0.95"' in text
-        assert 'policy="lard"' in text
-        assert "# TYPE" in text
 
     def test_dashboard_renders(self, telemetered):
         out = render_dashboard(telemetered[1].result.telemetry,
@@ -136,7 +161,11 @@ class TestCLI:
         assert footer["cells"] == 1
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["schema"] == "prord-run-manifest/v1"
-        assert (out_dir / "metrics.prom").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            ["manifest.json", "timeline.jsonl"]
+        with pytest.raises(SystemExit) as exc:
+            main(["timeline", "--charts"])
+        assert exc.value.code == 2
 
 
 class TestManifestFromGrid:

@@ -1,18 +1,8 @@
-"""Tests for PPM, association-rule, and sequence-rule predictors,
-plus the cross-predictor evaluation harness."""
+"""Tests for the PPM comparator predictor (``predictor_kind="ppm"``)."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.mining import (
-    AprioriMiner,
-    AssociationPredictor,
-    DependencyGraph,
-    PPMPredictor,
-    SequenceMiner,
-    SequencePredictor,
-    evaluate_predictor,
-)
+from repro.mining import DependencyGraph, PPMPredictor
 
 TRAIN = [
     ["a", "b", "c"],
@@ -67,133 +57,3 @@ class TestPPM:
         cands, matched = p.candidates(["a", "b"])
         assert matched == 2
         assert cands["c"] == pytest.approx(2 / 3)
-
-
-class TestApriori:
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            AprioriMiner(min_support=0)
-        with pytest.raises(ValueError):
-            AprioriMiner(max_itemset_size=1)
-
-    def test_frequent_itemsets_support(self):
-        miner = AprioriMiner(min_support=0.5)
-        sets = miner.frequent_itemsets([["a", "b"], ["a", "b"], ["a", "c"]])
-        assert sets[frozenset(["a"])] == pytest.approx(1.0)
-        assert sets[frozenset(["a", "b"])] == pytest.approx(2 / 3)
-        assert frozenset(["a", "c"]) not in sets
-
-    def test_apriori_property_holds(self):
-        miner = AprioriMiner(min_support=0.3, max_itemset_size=4)
-        baskets = [["a", "b", "c"], ["a", "b", "c"], ["a", "b"], ["c"]]
-        sets = miner.frequent_itemsets(baskets)
-        for itemset in sets:
-            for item in itemset:
-                if len(itemset) > 1:
-                    assert itemset - {item} in sets
-
-    def test_empty_sessions(self):
-        assert AprioriMiner().frequent_itemsets([]) == {}
-
-    def test_rules_confidence(self):
-        miner = AprioriMiner(min_support=0.4)
-        rules = miner.rules([["a", "b"], ["a", "b"], ["a", "c"]],
-                            min_confidence=0.6)
-        ab = [r for r in rules
-              if r.antecedent == frozenset(["a"]) and r.consequent == "b"]
-        assert ab and ab[0].confidence == pytest.approx(2 / 3)
-
-    def test_predictor_skips_visited(self):
-        p = AssociationPredictor(AprioriMiner(min_support=0.3),
-                                 min_confidence=0.3).train(TRAIN)
-        pred = p.predict(["a", "b"])
-        assert pred is not None
-        assert pred.page not in {"a", "b"}
-
-    def test_predictor_unknown_context(self):
-        p = AssociationPredictor().train(TRAIN)
-        assert p.predict(["never-seen"]) is None
-
-
-class TestSequenceRules:
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            SequenceMiner(max_length=1)
-        with pytest.raises(ValueError):
-            SequenceMiner(min_support=0)
-
-    def test_ngram_counts(self):
-        counts = SequenceMiner(max_length=2).ngram_counts([["a", "b", "a"]])
-        assert counts[("a",)] == 2
-        assert counts[("a", "b")] == 1
-        assert counts[("b", "a")] == 1
-
-    def test_rules_confidence(self):
-        rules = SequenceMiner(min_support=2).rules(TRAIN)
-        ab_c = [r for r in rules if r.prefix == ("a", "b") and r.next == "c"]
-        assert ab_c and ab_c[0].confidence == pytest.approx(2 / 3)
-
-    def test_min_support_prunes(self):
-        rules = SequenceMiner(min_support=3).rules(TRAIN)
-        assert all(r.support >= 3 for r in rules)
-
-    def test_predictor_longest_suffix(self):
-        p = SequencePredictor(SequenceMiner(min_support=1)).train(TRAIN)
-        assert p.predict(["a", "b"]).page == "c"
-        assert p.predict(["x", "b"]).page == "e"
-
-    def test_order_sensitivity_beats_association(self):
-        # Sequences where *order* is the only signal: a,b -> c but b,a -> d.
-        train = [["a", "b", "c"]] * 5 + [["b", "a", "d"]] * 5
-        seq = SequencePredictor(SequenceMiner(min_support=2)).train(train)
-        assert seq.predict(["a", "b"]).page == "c"
-        assert seq.predict(["b", "a"]).page == "d"
-        assoc = AssociationPredictor(
-            AprioriMiner(min_support=0.2), min_confidence=0.1).train(train)
-        a1 = assoc.predict(["a", "b"])
-        a2 = assoc.predict(["b", "a"])
-        # The itemset view cannot distinguish the two orders.
-        assert (a1 and a1.page) == (a2 and a2.page)
-
-
-class TestEvaluationHarness:
-    def test_perfect_predictor_scores_one(self):
-        g = DependencyGraph(order=2).train([["a", "b", "c"]] * 5)
-        report = evaluate_predictor(g, [["a", "b", "c"]])
-        assert report.accuracy == 1.0
-        assert report.coverage == 1.0
-        assert report.useful_fraction == 1.0
-
-    def test_min_confidence_filters(self):
-        g = DependencyGraph(order=1).train(
-            [["a", "b"], ["a", "c"], ["a", "d"]])
-        report = evaluate_predictor(g, [["a", "b"]], min_confidence=0.9)
-        assert report.predictions == 0
-        assert report.accuracy == 0.0
-
-    def test_empty_sequences(self):
-        g = DependencyGraph().train([["a", "b"]])
-        report = evaluate_predictor(g, [])
-        assert report.steps == 0
-        assert report.coverage == 0.0
-
-    def test_all_predictor_families_evaluate(self):
-        predictors = [
-            DependencyGraph(order=2).train(TRAIN),
-            PPMPredictor(order=2).train(TRAIN),
-            SequencePredictor(SequenceMiner(min_support=1)).train(TRAIN),
-            AssociationPredictor(AprioriMiner(min_support=0.2),
-                                 min_confidence=0.2).train(TRAIN),
-        ]
-        for p in predictors:
-            report = evaluate_predictor(p, TRAIN)
-            assert report.steps == sum(len(s) - 1 for s in TRAIN)
-            assert 0.0 <= report.accuracy <= 1.0
-
-    @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=2,
-                             max_size=6), min_size=1, max_size=15))
-    def test_property_report_bounds(self, seqs):
-        g = DependencyGraph(order=2).train(seqs)
-        r = evaluate_predictor(g, seqs)
-        assert 0 <= r.correct <= r.predictions <= r.steps
-        assert 0.0 <= r.mean_confidence <= 1.0

@@ -11,6 +11,7 @@ holds more than the lookahead window of requests.
 import dataclasses
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -304,7 +305,11 @@ class TestReplayWithoutNumpy:
             [sys.executable, "-c", _REPLAY_SCRIPT, str(out)],
             capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": str(Path(repro.__file__).parents[1]),
-                 "PATH": "/usr/bin:/bin"},
+                 "PATH": "/usr/bin:/bin",
+                 # The caller's bytecode setting passes through, so the
+                 # numpy-free child stays minimal.
+                 **{k: v for k, v in os.environ.items()
+                    if k == "PYTHONDONTWRITEBYTECODE"}},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"

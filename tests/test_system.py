@@ -34,10 +34,6 @@ class TestMining:
         assert mining.num_sessions > 10
         assert mining.num_sequences > 0
 
-    def test_categorizer_mined(self, mining):
-        assert mining.components.categorizer is not None
-        assert len(mining.components.categorizer.category_names()) >= 2
-
     def test_predictor_threshold_from_params(self, workload):
         params = SimulationParams(prefetch_threshold=0.9)
         m = mine_components(workload, params)
