@@ -9,7 +9,7 @@ plain CLF::
 and the combined format's referer/user-agent extensions (two extra
 quoted fields), which the sessionizer can exploit when present.
 
-Three properties the rest of the pipeline depends on:
+Four properties the rest of the pipeline depends on:
 
 * **lossless round-trip** — ``parse_line(format_line(r))`` recovers every
   field (whole-second timestamps aside).  Quoted fields are
@@ -23,7 +23,12 @@ Three properties the rest of the pipeline depends on:
   file record by record, never materializing it, which is what lets
   the sessionizer and the miners run one-pass on WorldCup'98-class
   traces.  Every file reader goes through them, so every one reads
-  ``.gz`` logs and replaces undecodable bytes instead of failing.
+  ``.gz`` logs and replaces undecodable bytes instead of failing;
+* **one object per distinct value** — :func:`parse_line` hands out one
+  shared string per distinct host, method, path, protocol, referer and
+  agent, and one int per distinct status and size text, from a capped
+  module-level memo, so a loaded log costs memory per distinct value,
+  not per line.  Only identity is shared: every value is what it was.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .records import LogRecord
+from .records import LogRecord, share
 
 __all__ = [
     "CLFParseError",
@@ -237,8 +242,24 @@ def _day_epoch(line: str, date: str, zone: str) -> int:
     return epoch
 
 
+#: One object per distinct value: ``_SHARED_STR`` maps each host, method,
+#: path, protocol, referer and agent string seen to its first copy, and
+#: ``_SHARED_NUM`` each status or size text to its int, so the records
+#: of a log hold one string per distinct path instead of one per line.
+#: Two memos, so a path ``"123"`` never comes back as an int.  Each is
+#: capped by :data:`~repro.logs.records.SHARED_MAX` and cleared when
+#: full, like ``_STAMP_EPOCH``.
+_SHARED_STR: dict[str, str] = {}
+_SHARED_NUM: dict[str, int] = {}
+_str_get = _SHARED_STR.get
+_num_get = _SHARED_NUM.get
+
+
 def parse_line(line: str) -> LogRecord:
     """Parse one CLF (or combined-referer) line into a :class:`LogRecord`.
+
+    Equal host, method, path, protocol, referer and agent values, and
+    equal status and size texts, come back as one shared object.
 
     Raises
     ------
@@ -256,14 +277,29 @@ def parse_line(line: str) -> LogRecord:
     if epoch is None:
         epoch = _stamp_epoch(line, stamp)
     if referer is not None:
-        referer = None if referer == "-" else _unescape_quoted(referer)
+        if referer == "-":
+            referer = None
+        else:
+            referer = _unescape_quoted(referer)
+            referer = _str_get(referer) or share(_SHARED_STR, referer, referer)
     if agent is not None:
-        agent = None if agent == "-" else _unescape_quoted(agent)
+        if agent == "-":
+            agent = None
+        else:
+            agent = _unescape_quoted(agent)
+            agent = _str_get(agent) or share(_SHARED_STR, agent, agent)
+    proto = (proto or "HTTP/1.0").strip()
+    # A memo hit is one dict probe; a falsy hit ("" or 0) just re-adds it.
     # Positional, in LogRecord's field order: keywords cost more per line.
     return LogRecord(
-        host, epoch, method, path, (proto or "HTTP/1.0").strip(),
-        int(status), 0 if size == "-" else int(size), ident, authuser,
-        referer, agent,
+        _str_get(host) or share(_SHARED_STR, host, host), epoch,
+        _str_get(method) or share(_SHARED_STR, method, method),
+        _str_get(path) or share(_SHARED_STR, path, path),
+        _str_get(proto) or share(_SHARED_STR, proto, proto),
+        _num_get(status) or share(_SHARED_NUM, status, int(status)),
+        0 if size == "-" else (
+            _num_get(size) or share(_SHARED_NUM, size, int(size))),
+        ident, authuser, referer, agent,
     )
 
 

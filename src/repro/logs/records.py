@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 __all__ = [
     "LogRecord",
@@ -28,6 +28,8 @@ __all__ = [
     "RequestSource",
     "Trace",
 ]
+
+_V = TypeVar("_V")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -169,6 +171,23 @@ def _slot_setters(cls: type) -> list:
  _lr_agent) = _slot_setters(LogRecord)
 (_rq_arrival, _rq_conn_id, _rq_path, _rq_size, _rq_is_embedded, _rq_parent,
  _rq_client, _rq_dynamic) = _slot_setters(Request)
+
+
+#: Entries a log reader's value memo may hold.  The readers
+#: (:mod:`repro.logs.clf`, :mod:`repro.logs.replay`) hand out one object
+#: per distinct value from module-level memos; one that reaches this cap
+#: is cleared, so no log can grow it without bound.  The bench and
+#: memory-gate logs hold 3,551 to 17,682 distinct strings.
+SHARED_MAX = 1 << 16
+
+
+def share(memo: dict, key: object, value: _V) -> _V:
+    """Store ``value`` under ``key`` in a reader's value memo, clearing
+    the memo first if it is full; returns ``value``."""
+    if len(memo) >= SHARED_MAX:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,6 +15,11 @@ every pass.  A materialized load is ``Trace(read_sidecar(path))``; a
 streamed load iterates the same reader, so the two replay
 bit-identically (the differential battery and the hypothesis
 properties in ``tests/test_streamed_replay.py`` hold them so).
+
+:func:`request_from_row` rejects a row whose field has another type than
+:func:`write_sidecar` writes, instead of converting it, and hands out
+one shared object per distinct path, parent, client and size, from a
+capped module-level memo like :mod:`repro.logs.clf`'s.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from .records import Request, RequestSource, TraceSummary
+from .records import Request, RequestSource, TraceSummary, share
 from .sampling import ClientSampler
 
 __all__ = [
@@ -67,12 +72,69 @@ def write_sidecar(trace: RequestSource, path: Path) -> None:
             fp.write(json.dumps(row) + "\n")
 
 
+#: One object per distinct value: each path, parent and client string
+#: read maps to its first copy in ``_SHARED_STR``, each size to its first
+#: int in ``_SHARED_SIZE``, so a trace holds one string per distinct path
+#: instead of one per request.  Each memo is capped by
+#: :data:`~repro.logs.records.SHARED_MAX` and cleared when full, like the
+#: CLF reader's (:mod:`repro.logs.clf`).
+_SHARED_STR: dict[str, str] = {}
+_SHARED_SIZE: dict[int, int] = {}
+_str_get = _SHARED_STR.get
+_size_get = _SHARED_SIZE.get
+
+
+def _bad_field(key: str, value: Any) -> ValueError:
+    return ValueError(f"trace sidecar field {key!r} has the wrong type: "
+                      f"{value!r}")
+
+
 def request_from_row(row: dict) -> Request:
-    """Build a :class:`Request` from one sidecar JSONL row."""
+    """Build a :class:`Request` from one sidecar JSONL row.
+
+    Each field must have the type :func:`write_sidecar` writes: ``a`` an
+    int or float, ``c`` and ``s`` ints (not bools), ``e`` and ``d``
+    bools, ``p`` and ``cl`` strings, ``pa`` a string or null; anything
+    else raises ``ValueError`` naming the field.  Equal path, parent,
+    client and size values come back as one shared object.
+    """
+    arrival = row["a"]
+    conn = row["c"]
+    path = row["p"]
+    size = row["s"]
+    embedded = row["e"]
+    parent = row["pa"]
+    client = row["cl"]
+    dynamic = row["d"]
+    if type(arrival) is not float:
+        if type(arrival) is not int:
+            raise _bad_field("a", arrival)
+        arrival = float(arrival)
+    if type(conn) is not int:
+        raise _bad_field("c", conn)
+    if type(path) is not str:
+        raise _bad_field("p", path)
+    if type(size) is not int:
+        raise _bad_field("s", size)
+    # True and False are the only bools, and two identity tests cost
+    # less than a type() call.
+    if embedded is not False and embedded is not True:
+        raise _bad_field("e", embedded)
+    if parent is not None:
+        if type(parent) is not str:
+            raise _bad_field("pa", parent)
+        parent = _str_get(parent) or share(_SHARED_STR, parent, parent)
+    if type(client) is not str:
+        raise _bad_field("cl", client)
+    if dynamic is not False and dynamic is not True:
+        raise _bad_field("d", dynamic)
+    # A memo hit is one dict probe; a falsy hit ("" or 0) just re-adds it.
     # Positional, in Request's field order: keywords cost more per row.
     return Request(
-        float(row["a"]), int(row["c"]), row["p"], int(row["s"]),
-        bool(row["e"]), row["pa"], row["cl"], bool(row["d"]),
+        arrival, conn, _str_get(path) or share(_SHARED_STR, path, path),
+        _size_get(size) or share(_SHARED_SIZE, size, size), embedded,
+        parent, _str_get(client) or share(_SHARED_STR, client, client),
+        dynamic,
     )
 
 

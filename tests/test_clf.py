@@ -428,3 +428,49 @@ class TestCombinedAgent:
 
     def test_plain_clf_has_no_agent(self):
         assert parse_line(SAMPLE).agent is None
+
+
+class TestSharedValues:
+    """Equal values parse to one object, so a loaded log holds one string
+    per distinct path instead of one per line."""
+
+    FIELDS = ("host", "method", "path", "protocol", "status", "size",
+              "referer", "agent")
+
+    @staticmethod
+    def lines(n_hosts, n_paths, n):
+        return [
+            f'10.0.0.{i % n_hosts} - - [10/Oct/2000:13:55:{i % 60:02d} '
+            f'+0000] "GET /p/{i % n_paths}.html HTTP/1.1" '
+            f'{(200, 404)[i % 2]} {1000 + i % n_paths} '
+            f'"http://ref/{i % 3}\\"q\\"" "agent {i % 2}"'
+            for i in range(n)
+        ]
+
+    def test_equal_values_are_one_object(self):
+        # A memo cleared mid-pass would hand out a second copy.
+        clf._SHARED_STR.clear()
+        clf._SHARED_NUM.clear()
+        records = list(parse_lines(self.lines(5, 7, 200)))
+        for name in self.FIELDS:
+            values = [getattr(r, name) for r in records]
+            first = {}
+            for value in values:
+                assert first.setdefault(value, value) is value, name
+            assert len(first) < len(values)  # the field repeats
+        assert records[1].status == 404 and records[0].size > 256
+        assert records[0].referer == 'http://ref/0"q"'
+
+    def test_values_survive_a_full_memo(self, monkeypatch):
+        from repro.logs import records
+        monkeypatch.setattr(records, "SHARED_MAX", 4)
+        parsed = list(parse_lines(self.lines(9, 11, 60)))
+        assert len(clf._SHARED_STR) <= 4 and len(clf._SHARED_NUM) <= 4
+        for i, rec in enumerate(parsed):
+            assert rec == LogRecord(
+                f"10.0.0.{i % 9}",
+                calendar.timegm((2000, 10, 10, 13, 55, i % 60)), "GET",
+                f"/p/{i % 11}.html", "HTTP/1.1", (200, 404)[i % 2],
+                1000 + i % 11, referer=f'http://ref/{i % 3}"q"',
+                agent=f"agent {i % 2}",
+            )

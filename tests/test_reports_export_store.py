@@ -19,19 +19,27 @@ from repro.logs import (
 )
 
 
-def _set_field(row_index, key, value):
-    """A corruption that rewrites one field of one sidecar data row."""
+def _map_field(row_index, key, convert):
+    """A corruption that rewrites one field of one sidecar data row to
+    ``convert(old value)``."""
     def corrupt(p):
         lines = p.read_text().splitlines(keepends=True)
         row = json.loads(lines[row_index])
-        row[key] = value
+        row[key] = convert(row[key])
         lines[row_index] = json.dumps(row) + "\n"
         p.write_text("".join(lines))
     return corrupt
 
 
+def _set_field(row_index, key, value):
+    """A corruption that rewrites one field of one sidecar data row."""
+    return _map_field(row_index, key, lambda _old: value)
+
+
 #: Sidecar defects a load must reject (and fall back from) before
-#: replay: the last five decode cleanly but cannot be replayed.
+#: replay: five decode cleanly but cannot be replayed, and the last eight
+#: hold a value of another type than the writer writes, which a
+#: conversion would have turned into a replayable one.
 CORRUPT_SIDECARS = [
     lambda p: p.write_text('{"kind": "something-else"}\n'),
     lambda p: p.write_text("not json at all\n"),
@@ -44,6 +52,14 @@ CORRUPT_SIDECARS = [
     pytest.param(_set_field(-1, "a", float("nan")), id="nan-last-arrival"),
     pytest.param(_set_field(1, "s", 0), id="zero-size"),
     pytest.param(_set_field(-1, "s", -5000), id="negative-size"),
+    pytest.param(_set_field(1, "e", "false"), id="string-embedded"),
+    pytest.param(_set_field(1, "s", 1.5), id="float-size"),
+    pytest.param(_set_field(1, "s", True), id="bool-size"),
+    pytest.param(_set_field(1, "c", "7"), id="string-conn"),
+    pytest.param(_map_field(1, "a", str), id="string-arrival"),
+    pytest.param(_set_field(1, "d", 2), id="int-dynamic"),
+    pytest.param(_set_field(1, "p", 5), id="int-path"),
+    pytest.param(_set_field(1, "cl", None), id="null-client"),
 ]
 
 
@@ -132,6 +148,28 @@ class TestTraceSidecar:
         # CLF keeps whole seconds only, so some arrivals must move.
         assert any(b.arrival != a.arrival
                    for a, b in zip(w.trace, again.trace))
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_equal_values_are_one_object(self, tmp_path, stream):
+        from collections import Counter
+        from repro.logs import replay
+        w = self.make_workload()
+        out = save_workload(w, tmp_path / "wl")
+        # A memo cleared mid-pass would hand out a second copy.
+        replay._SHARED_STR.clear()
+        replay._SHARED_SIZE.clear()
+        requests = list(load_workload(out, stream=stream).trace)
+        assert requests == list(w.trace)
+        for name in ("path", "parent", "client", "size"):
+            values = [getattr(r, name) for r in requests
+                      if getattr(r, name) is not None]
+            first = {}
+            for value in values:
+                assert first.setdefault(value, value) is value, name
+            assert len(first) < len(values)  # the field repeats
+        # Sizes above 256 repeat too: ints up to 256 are shared anyway.
+        sizes = Counter(r.size for r in requests)
+        assert any(n > 1 for size, n in sizes.items() if size > 256)
 
     @pytest.mark.parametrize("corrupt", CORRUPT_SIDECARS)
     def test_corrupt_sidecar_warns_and_falls_back(self, tmp_path, caplog,
