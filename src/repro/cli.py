@@ -26,9 +26,7 @@ from .core.config import SimulationParams
 from .core.system import POLICY_NAMES, build_policy, mine_components, run_policy
 from .logs.clf import CLFSource, ParseStats
 from .logs.records import LogRecord
-from .logs.sessions import trace_from_records
 from .logs.workloads import WORKLOAD_PRESETS, Workload, make_workload
-from .mining.fold import StreamingModelFold
 from .sim.differential import DEFAULT_POLICIES
 
 __all__ = ["main", "build_parser"]
@@ -68,6 +66,7 @@ def _workload_from_log(path: Path, train_fraction: float) -> Workload:
     training, evaluation = records[:cut], records[cut:]
     if not evaluation:
         raise SystemExit("error: log too short to split into train/eval")
+    from .logs.sessions import trace_from_records
     trace = trace_from_records(evaluation, name=path.name)
     # No site model for raw logs: build a Workload-shaped stand-in.
     from .logs.site import Website
@@ -119,6 +118,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             _note_findings(collected)
         collected.sort(key=attrgetter("timestamp"))
         records = collected
+    from .mining.fold import StreamingModelFold
     fold = StreamingModelFold(
         SimulationParams(depgraph_order=args.order),
         timeout=args.session_timeout,

@@ -7,19 +7,31 @@ so that low-level packages (sim, policies) can import
 would be an import cycle.
 """
 
+from typing import TYPE_CHECKING
+
+from .. import _lazy_exports
 from .config import KB, MB, SimulationParams
 
-_SYSTEM_EXPORTS = (
-    "POLICY_NAMES", "MINING_POLICY_NAMES", "MinedModels", "MiningResult",
-    "PRORDSystem", "build_policy", "cache_bytes_for_fraction",
-    "mine_components", "mine_models", "run_policy",
-)
+if TYPE_CHECKING:  # pragma: no cover - the names __getattr__ resolves
+    from .system import (
+        MINING_POLICY_NAMES,
+        POLICY_NAMES,
+        MinedModels,
+        MiningResult,
+        PRORDSystem,
+        build_policy,
+        cache_bytes_for_fraction,
+        mine_components,
+        mine_models,
+        run_policy,
+    )
 
-__all__ = ["KB", "MB", "SimulationParams", *_SYSTEM_EXPORTS]
+_EXPORTS = {
+    "system": ("POLICY_NAMES", "MINING_POLICY_NAMES", "MinedModels",
+               "MiningResult", "PRORDSystem", "build_policy",
+               "cache_bytes_for_fraction", "mine_components", "mine_models",
+               "run_policy"),
+}
 
-
-def __getattr__(name: str):
-    if name in _SYSTEM_EXPORTS:
-        from . import system
-        return getattr(system, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["KB", "MB", "SimulationParams", *_EXPORTS["system"]]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -21,27 +21,23 @@ from dataclasses import dataclass, replace as dc_replace
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from ..logs.clf import CLFSource
-from ..logs.workloads import Workload
-from ..mining.bundles import BundleTable
-from ..mining.depgraph import DependencyGraph
-from ..mining.fold import StreamingModelFold
-from ..mining.popularity import PopularityTracker, RankTable
-from ..mining.prefetch import PrefetchPredictor
-from ..policies.base import Policy
-from ..policies.extlard import ExtLARDPolicy
-from ..policies.lard import LARDPolicy
-from ..policies.prord import PRORDComponents, PRORDFeatures, PRORDPolicy
-from ..policies.replication import ReplicationEngine
-from ..policies.wrr import WRRPolicy
-from ..sim.audit import SimulationAuditor
 from ..sim.cluster import ClusterSimulator, SimulationResult
 from .config import SimulationParams
 
+# The miners, the policies and the auditor are imported where they are
+# used, so a run loads only the stages it runs (DESIGN.md §10, "Import
+# layering"): a LARD replay never loads the miners.
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..logs.workloads import Workload
+    from ..mining.bundles import BundleTable
+    from ..mining.depgraph import DependencyGraph
     from ..mining.modelcache import ModelCache
+    from ..mining.popularity import RankTable
     from ..mining.ppm import PPMPredictor
     from ..obs.profiler import PhaseProfiler
+    from ..policies.base import Policy
+    from ..policies.prord import PRORDComponents
+    from ..policies.replication import ReplicationEngine
 
 __all__ = [
     "MinedModels",
@@ -112,6 +108,9 @@ class MinedModels:
         same offline state — runs are independent and order-free, which
         is what makes parallel execution bit-identical to serial.
         """
+        from ..mining.prefetch import PrefetchPredictor
+        from ..policies.prord import PRORDComponents
+
         params = params or SimulationParams()
         model = self.model.copy() if online_update else self.model
         graph = model if self.model is self.graph else self.graph
@@ -159,6 +158,9 @@ def mine_models(
     ``profiler`` (optional) records the pass under ``mine.stream``
     (units = records) and the freeze under ``mine.stream.finish``.
     """
+    from ..logs.clf import CLFSource
+    from ..mining.fold import StreamingModelFold
+
     def timed(name: str):
         return profiler.phase(name) if profiler is not None else nullcontext()
 
@@ -231,8 +233,23 @@ def build_policy(
     Algorithm-3 replication.
     """
     params = params or SimulationParams()
+    if name == "wrr":
+        from ..policies.wrr import WRRPolicy
+        return WRRPolicy(), None
+    if name == "lard":
+        from ..policies.lard import LARDPolicy
+        return LARDPolicy(), None
+    if name == "ext-lard-phttp":
+        from ..policies.extlard import ExtLARDPolicy
+        return ExtLARDPolicy(mode="handoff"), None
+    if name == "ext-lard-fwd":
+        from ..policies.extlard import ExtLARDPolicy
+        return ExtLARDPolicy(mode="forwarding"), None
+    from ..policies.prord import PRORDComponents, PRORDFeatures, PRORDPolicy
 
     def replicator() -> ReplicationEngine:
+        from ..mining.popularity import PopularityTracker
+        from ..policies.replication import ReplicationEngine
         prior = mining.rank_table if mining is not None else None
         return ReplicationEngine(PopularityTracker(prior, half_life=60.0))
 
@@ -241,14 +258,6 @@ def build_policy(
             raise ValueError(f"policy {name!r} requires a MiningResult")
         return mining.components
 
-    if name == "wrr":
-        return WRRPolicy(), None
-    if name == "lard":
-        return LARDPolicy(), None
-    if name == "ext-lard-phttp":
-        return ExtLARDPolicy(mode="handoff"), None
-    if name == "ext-lard-fwd":
-        return ExtLARDPolicy(mode="forwarding"), None
     if name == "prord":
         return (
             PRORDPolicy(components(), features=PRORDFeatures.all()),
@@ -366,12 +375,14 @@ def run_policy(
     policy, replicator = build_policy(policy_name, mining, params)
     if replicator is not None and profiler is not None:
         replicator.profiler = profiler
+    auditor = None
+    if audit:
+        from ..sim.audit import SimulationAuditor
+        auditor = SimulationAuditor()
     cluster = ClusterSimulator(
         workload.trace, policy, params,
         replicator=replicator, warmup_fraction=warmup_fraction,
-        window_s=window_s,
-        auditor=SimulationAuditor() if audit else None,
-        telemetry=tel,
+        window_s=window_s, auditor=auditor, telemetry=tel,
     )
     if tel is None:
         return cluster.run()

@@ -33,15 +33,16 @@ Four properties the rest of the pipeline depends on:
 
 from __future__ import annotations
 
-import calendar
-import gzip
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 from .records import LogRecord, share
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .sampling import ClientSampler
 
 __all__ = [
     "CLFParseError",
@@ -220,6 +221,8 @@ def _day_epoch(line: str, date: str, zone: str) -> int:
     """Compute and memoize the epoch of ``date`` (``dd/Mon/yyyy``) at
     00:00:00 in ``zone``, rejecting a day outside its month, zone
     minutes outside the hour and an offset outside −12:00…+14:00."""
+    import calendar
+
     month = _MONTHS.get(date[3:6])
     if month is None:
         raise CLFParseError(line, "unknown month abbreviation")
@@ -402,6 +405,7 @@ def write_log(fp: TextIO, records: Iterable[LogRecord]) -> int:
 
 def _open_text(path: Path) -> TextIO:
     if path.suffix == ".gz":
+        import gzip
         return gzip.open(path, "rt", encoding="utf-8", errors="replace")
     return path.open("r", encoding="utf-8", errors="replace")
 
@@ -448,15 +452,13 @@ class CLFSource:
         sample_rate: float | None = None,
         sample_seed: int = 0,
     ) -> None:
-        from .sampling import ClientSampler  # local: avoid import cycle
-
         self.path = Path(path)
         self.strict = strict
         self.stats = ParseStats()
-        self.sampler = (
-            ClientSampler(sample_rate, sample_seed)
-            if sample_rate is not None else None
-        )
+        self.sampler: ClientSampler | None = None
+        if sample_rate is not None:
+            from .sampling import ClientSampler
+            self.sampler = ClientSampler(sample_rate, sample_seed)
         #: Records dropped by client sampling in the latest pass.
         self.sampled_out = 0
 

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .records import Request, RequestSource, TraceSummary, share
-from .sampling import ClientSampler
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .sampling import ClientSampler
 
 __all__ = [
     "SidecarRequestSource",
@@ -220,10 +222,10 @@ class SidecarRequestSource(RequestSource):
         sample_seed: int = 0,
     ) -> None:
         self.path = Path(path)
-        self.sampler = (
-            ClientSampler(sample_rate, sample_seed)
-            if sample_rate is not None else None
-        )
+        self.sampler: ClientSampler | None = None
+        if sample_rate is not None:
+            from .sampling import ClientSampler
+            self.sampler = ClientSampler(sample_rate, sample_seed)
         with self.path.open() as fp:
             header = read_sidecar_header(fp.readline())
         self.name = name if name is not None else header.get("name", "trace")

@@ -27,8 +27,6 @@ from pathlib import Path
 from .clf import CLFSource, write_log
 from .records import LogRecord, RequestSource, Trace
 from .replay import SidecarRequestSource, read_sidecar, write_sidecar
-from .sampling import ClientSampler
-from .sessions import trace_from_records
 from .site import Category, EmbeddedObject, Page, Website
 from .workloads import Workload
 
@@ -195,10 +193,10 @@ def load_workload(
     """
     directory = Path(directory)
     site = load_site(directory / "site.json")
-    sampler = (
-        ClientSampler(sample_rate, sample_seed)
-        if sample_rate is not None else None
-    )
+    sampler = None
+    if sample_rate is not None:
+        from .sampling import ClientSampler
+        sampler = ClientSampler(sample_rate, sample_seed)
     training: "list[LogRecord] | CLFSource" = CLFSource(
         directory / "training.log",
         sample_rate=sample_rate, sample_seed=sample_seed,
@@ -237,6 +235,7 @@ def load_workload(
         ))
         if not eval_records:
             raise ValueError(f"no evaluation records in {directory}")
+        from .sessions import trace_from_records
         trace = trace_from_records(eval_records, name=trace_name)
     if sampler is not None and len(trace) == 0:
         raise ValueError(

@@ -20,13 +20,16 @@ Paper trace statistics reproduced (DESIGN.md §3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .clf import CLFSource
 from .records import LogRecord, RequestSource
-from .sessions import trace_from_records
 from .site import SiteSpec, Website, build_site
-from .synthetic import TraceGenerator, TrafficSpec
+
+# The generator is imported by the preset builders alone: loading a saved
+# workload needs the Workload type, not the generator.
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .clf import CLFSource
+    from .synthetic import TrafficSpec
 
 __all__ = [
     "Workload",
@@ -118,6 +121,9 @@ def _make(
     eval_spec: TrafficSpec,
     train_spec: TrafficSpec,
 ) -> Workload:
+    from .sessions import trace_from_records
+    from .synthetic import TraceGenerator
+
     training = TraceGenerator(site, train_spec).generate_records()
     trace = trace_from_records(
         TraceGenerator(site, eval_spec).generate_records(),
@@ -130,6 +136,8 @@ def _cs_department_config(
     scale: float, seed: int
 ) -> tuple[Website, TrafficSpec, TrafficSpec]:
     """Site + eval/training traffic specs for the CS-department preset."""
+    from .synthetic import TrafficSpec
+
     if scale <= 0:
         raise ValueError("scale must be positive")
     site = build_site(SiteSpec(
@@ -192,6 +200,8 @@ def _worldcup_config(
     scale: float, seed: int
 ) -> tuple[Website, TrafficSpec, TrafficSpec]:
     """Site + eval/training traffic specs for the WorldCup preset."""
+    from .synthetic import TrafficSpec
+
     if scale <= 0:
         raise ValueError("scale must be positive")
     site = build_site(SiteSpec(
@@ -249,6 +259,8 @@ def _synthetic_config(
     scale: float, seed: int
 ) -> tuple[Website, TrafficSpec, TrafficSpec]:
     """Site + eval/training traffic specs for the synthetic preset."""
+    from .synthetic import TrafficSpec
+
     if scale <= 0:
         raise ValueError("scale must be positive")
     site = build_site(SiteSpec(
@@ -320,6 +332,7 @@ def training_log_records(
     site, _eval_spec, train_spec = config(
         scale, _PRESET_SEEDS[name] if seed is None else seed
     )
+    from .synthetic import TraceGenerator
     return TraceGenerator(site, train_spec).generate_records()
 
 

@@ -19,48 +19,47 @@ Entry points:
   JSONL (and its reader), and terminal sparkline dashboards.
 """
 
-from .dashboard import render_dashboard
-from .export import timeline_jsonl, windows_from_jsonl
-from .histogram import StreamingHistogram
-from .manifest import (
-    MANIFEST_SCHEMA,
-    RunManifest,
-    build_manifest,
-    workload_identity,
-)
-from .profiler import PhaseProfiler, PhaseTiming
-from .telemetry import (
-    DEFAULT_WINDOWS_PER_RUN,
-    MergedTelemetry,
-    Telemetry,
-    TelemetrySummary,
-    merge_telemetry,
-)
-from .timeline import (
-    ServerWindow,
-    Timeline,
-    TimelineRecorder,
-    TimelineWindow,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DEFAULT_WINDOWS_PER_RUN",
-    "MANIFEST_SCHEMA",
-    "MergedTelemetry",
-    "PhaseProfiler",
-    "PhaseTiming",
-    "RunManifest",
-    "ServerWindow",
-    "StreamingHistogram",
-    "Telemetry",
-    "TelemetrySummary",
-    "Timeline",
-    "TimelineRecorder",
-    "TimelineWindow",
-    "build_manifest",
-    "merge_telemetry",
-    "render_dashboard",
-    "timeline_jsonl",
-    "windows_from_jsonl",
-    "workload_identity",
-]
+from .. import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - the names __getattr__ resolves
+    from .dashboard import render_dashboard
+    from .export import timeline_jsonl, windows_from_jsonl
+    from .histogram import StreamingHistogram
+    from .manifest import (
+        MANIFEST_SCHEMA,
+        RunManifest,
+        build_manifest,
+        workload_identity,
+    )
+    from .profiler import PhaseProfiler, PhaseTiming
+    from .telemetry import (
+        DEFAULT_WINDOWS_PER_RUN,
+        MergedTelemetry,
+        Telemetry,
+        TelemetrySummary,
+        merge_telemetry,
+    )
+    from .timeline import (
+        ServerWindow,
+        Timeline,
+        TimelineRecorder,
+        TimelineWindow,
+    )
+
+_EXPORTS = {
+    "dashboard": ("render_dashboard",),
+    "export": ("timeline_jsonl", "windows_from_jsonl"),
+    "histogram": ("StreamingHistogram",),
+    "manifest": ("MANIFEST_SCHEMA", "RunManifest", "build_manifest",
+                 "workload_identity"),
+    "profiler": ("PhaseProfiler", "PhaseTiming"),
+    "telemetry": ("DEFAULT_WINDOWS_PER_RUN", "MergedTelemetry", "Telemetry",
+                  "TelemetrySummary", "merge_telemetry"),
+    "timeline": ("ServerWindow", "Timeline", "TimelineRecorder",
+                 "TimelineWindow"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

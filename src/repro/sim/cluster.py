@@ -56,17 +56,17 @@ from typing import (
 from ..core.config import SimulationParams
 from ..logs.records import Request, RequestSource
 from ..policies.base import Policy, RoutingDecision
-from .audit import AuditSummary, SimulationAuditor
 from .engine import Resource, Simulator
 from .frontend import ConnectionState, Dispatcher
 from .server import BackendServer
 from .soa import FlowTable, service_time_arrays
 from .stats import MetricsCollector, SimulationReport
-from .failures import FailureSchedule
-from .tracing import RequestTracer
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..obs.telemetry import Telemetry, TelemetrySummary
+    from .audit import AuditSummary, SimulationAuditor
+    from .failures import FailureSchedule
+    from .tracing import RequestTracer
 
 __all__ = [
     "Replicator",
@@ -477,13 +477,6 @@ class ClusterSimulator:
         """Assemble the result (injection mode, after the run drains)."""
         return self._result()
 
-    def _conn_state(self, conn_id: int) -> ConnectionState:
-        state = self._connections.get(conn_id)
-        if state is None:
-            state = ConnectionState(conn_id=conn_id)
-            self._connections[conn_id] = state
-        return state
-
     def _on_arrival(
         self, req: Request, on_complete: CompletionCallback | None = None
     ) -> None:
@@ -558,8 +551,6 @@ class ClusterSimulator:
         else:
             conn.server_id = server_id
         conn.requests_seen += 1
-        if not req.is_embedded:
-            conn.last_page = req.path
 
         f = self.flows
         free = f.free

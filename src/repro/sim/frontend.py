@@ -9,7 +9,7 @@ that most requests can skip it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Dispatcher", "ConnectionState"]
 
@@ -67,6 +67,3 @@ class ConnectionState:
     conn_id: int
     server_id: int | None = None
     requests_seen: int = 0
-    last_page: str | None = None
-    #: pages this connection's backend was asked to prefetch
-    expected_prefetches: set[str] = field(default_factory=set)

@@ -1,6 +1,7 @@
 """Tests for the dispatcher locality table and the metrics collector."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,48 @@ class TestMetricsCollector:
         m.record_completion(req(), 1.0, 0, True)
         row = m.report().row()
         assert "rps" in row and "hit" in row
+
+
+class TestCompletionColumns:
+    """The completion columns grow with the trace, so they stay compact,
+    and read back exactly what was recorded."""
+
+    def test_bytes_per_completion(self):
+        n = 10_000
+        requests = [req(t=k / 64, size=512 + k % 7, dynamic=k % 3 == 0)
+                    for k in range(n)]
+        m = MetricsCollector(8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k, r in enumerate(requests):
+                # A fresh float per completion, as the engine's clock
+                # makes one per event.
+                m.record_completion(r, r.arrival + 0.25, k % 8, k % 2 == 0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / n <= 40, f"{grown / n:.1f} B per completion"
+
+    def test_records_read_back_bools(self):
+        m = MetricsCollector(3)
+        rows = [(0.0, 1.5, 2, True, False), (1.0, 2.0, 0, False, True),
+                (1.5, 4.0, 1, True, True)]
+        for arrival, completion, server, hit, dynamic in rows:
+            m.record_completion(req(t=arrival, size=7, dynamic=dynamic),
+                                completion, server, hit)
+        records = m.records
+        assert [(r.arrival, r.completion, r.server_id, r.hit, r.dynamic)
+                for r in records] == rows
+        assert all(type(r.hit) is bool and type(r.dynamic) is bool
+                   for r in records)
+
+    def test_size_beyond_64_bits(self):
+        size = 2**63 + 1
+        m = MetricsCollector(1)
+        m.record_completion(req(size=size), 1.0, 0, False)
+        assert m.records[0].size == size
+        assert m.report().completed == 1
 
 
 def numpy_report(arrivals, completions, servers, hits, n_servers,

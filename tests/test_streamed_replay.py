@@ -279,7 +279,7 @@ class TestStreamedFootprint:
 #: Replays a saved workload (argv[1]) materialized and streamed under
 #: the strict auditor, then reports whether numpy was ever imported.
 _REPLAY_SCRIPT = """
-import sys
+import json, sys
 from repro.core.system import run_policy
 from repro.logs.store import load_workload
 
@@ -291,8 +291,26 @@ for stream in (False, True):
         assert result.audit.clean, (stream, policy)
         reports.setdefault(policy, []).append(result.report)
 assert all(a == b for a, b in reports.values()), "streamed != materialized"
-print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+print(json.dumps(sorted(
+    name for name in sys.modules if name.split(".")[0] == "numpy")))
 """
+
+
+def _run_child(script: str, *args: str) -> list:
+    """Run ``script`` in a fresh interpreter with a minimal environment;
+    returns the JSON its last output line prints."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1]),
+             "PATH": "/usr/bin:/bin",
+             # The caller's bytecode setting passes through, so the
+             # child stays minimal.
+             **{k: v for k, v in os.environ.items()
+                if k == "PYTHONDONTWRITEBYTECODE"}},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestReplayWithoutNumpy:
@@ -301,15 +319,76 @@ class TestReplayWithoutNumpy:
 
     def test_saved_workload_replays_without_numpy(self, tmp_path):
         out = save_workload(synthetic_workload(scale=0.02), tmp_path / "wl")
-        proc = subprocess.run(
-            [sys.executable, "-c", _REPLAY_SCRIPT, str(out)],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": str(Path(repro.__file__).parents[1]),
-                 "PATH": "/usr/bin:/bin",
-                 # The caller's bytecode setting passes through, so the
-                 # numpy-free child stays minimal.
-                 **{k: v for k, v in os.environ.items()
-                    if k == "PYTHONDONTWRITEBYTECODE"}},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert _run_child(_REPLAY_SCRIPT, str(out)) == []
+
+
+#: Loads a saved workload (argv[2]) materialized and streamed, replays
+#: both under one policy (argv[1]; ``audited`` is LARD under the
+#: auditor), and prints the ``repro`` modules the process loaded.
+_BUDGET_SCRIPT = """
+import json, sys
+from repro.core.system import run_policy
+from repro.logs.store import load_workload
+
+case, directory = sys.argv[1:]
+for stream in (False, True):
+    workload = load_workload(directory, stream=stream)
+    run_policy(workload, "lard" if case == "audited" else case,
+               audit=case == "audited")
+print(json.dumps(sorted(
+    name for name in sys.modules if name.split(".")[0] == "repro")))
+"""
+
+#: Every module a LARD replay of a saved workload needs: the readers, the
+#: simulator and one policy.  No miner, generator or observer.
+LARD_REPLAY_MODULES = [
+    "repro",
+    "repro.core", "repro.core.config", "repro.core.system",
+    "repro.logs", "repro.logs.clf", "repro.logs.records",
+    "repro.logs.replay", "repro.logs.site", "repro.logs.store",
+    "repro.logs.workloads",
+    "repro.policies", "repro.policies.base", "repro.policies.lard",
+    "repro.sim", "repro.sim.cache", "repro.sim.cluster", "repro.sim.engine",
+    "repro.sim.frontend", "repro.sim.gdsf", "repro.sim.server",
+    "repro.sim.soa", "repro.sim.stats",
+]
+
+#: Modules a PRORD replay runs without: observers, harnesses, generators,
+#: the sampler and the comparator predictor.
+PRORD_UNUSED_MODULES = [
+    "repro.sim.audit", "repro.sim.tracing", "repro.sim.failures",
+    "repro.sim.closedloop", "repro.sim.differential",
+    "repro.obs.telemetry", "repro.obs.timeline", "repro.obs.histogram",
+    "repro.obs.dashboard", "repro.obs.export", "repro.obs.manifest",
+    "repro.logs.synthetic", "repro.logs.validate", "repro.logs.sampling",
+    "repro.mining.ppm",
+]
+
+
+class TestImportBudget:
+    """A replay loads the modules it runs and no others (DESIGN.md §10,
+    "Import layering")."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("budget") / "wl"
+        return str(save_workload(synthetic_workload(scale=0.02), out))
+
+    def test_lard_replay_loads_exactly_its_modules(self, saved):
+        loaded = _run_child(_BUDGET_SCRIPT, "lard", saved)
+        extra = sorted(set(loaded) - set(LARD_REPLAY_MODULES))
+        missing = sorted(set(LARD_REPLAY_MODULES) - set(loaded))
+        assert not extra and not missing, (
+            f"extra modules {extra}; missing modules {missing}")
+
+    def test_prord_replay_skips_what_it_does_not_run(self, saved):
+        loaded = _run_child(_BUDGET_SCRIPT, "prord", saved)
+        unused = [name for name in loaded
+                  if name in PRORD_UNUSED_MODULES
+                  or name.startswith("repro.experiments")]
+        assert not unused, f"loaded but unused: {unused}"
+        assert "repro.mining.fold" in loaded
+
+    def test_audited_replay_loads_the_auditor(self, saved):
+        loaded = _run_child(_BUDGET_SCRIPT, "audited", saved)
+        assert "repro.sim.audit" in loaded
