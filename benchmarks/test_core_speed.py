@@ -44,7 +44,7 @@ from repro.core.system import (
 from repro.experiments.common import loaded_workload
 from repro.mining import cached_mine_models
 from repro.obs.profiler import PhaseProfiler
-from repro.sim.cluster import DEFAULT_ARRIVAL_WINDOW, ClusterSimulator
+from repro.sim.cluster import ClusterSimulator
 
 from conftest import BENCH
 
@@ -126,7 +126,7 @@ def measurements():
     eager = ClusterSimulator(
         workload.trace, build_policy("lard")[0], params,
         warmup_fraction=BENCH.warmup_fraction, window_s=BENCH.duration_s,
-        arrival_window=0)
+        eager_arrivals=True)
     eager.run()
 
     # Mined-model cache round trip (cold mine vs warm disk load).
@@ -163,7 +163,6 @@ def measurements():
         "normalized_aggregate": round(aggregate / calibration, 6),
         "calendar": {
             "trace_requests": len(workload.trace),
-            "arrival_window": DEFAULT_ARRIVAL_WINDOW,
             "high_water_eager": eager.sim.calendar_high_water,
             "high_water_pumped":
                 policies["lard"]["calendar_high_water"],
@@ -188,13 +187,13 @@ def test_all_policies_made_progress(measurements):
         assert p["events_per_s"] > 0, name
 
 
-def test_calendar_high_water_bounded_by_window(measurements):
+def test_calendar_high_water_bounded_by_in_flight_work(measurements):
     cal = measurements["calendar"]
     n = cal["trace_requests"]
-    # Eager scheduling's calendar scales with the trace; the pump's is
-    # bounded by the lookahead window plus in-flight work.
+    # Eager scheduling's calendar scales with the trace; the pump's holds
+    # one pending arrival plus in-flight work.
     assert cal["high_water_eager"] >= n
-    assert cal["high_water_pumped"] <= cal["arrival_window"] + 512
+    assert cal["high_water_pumped"] <= 1 + 512
     assert cal["high_water_pumped"] < n // 2
 
 

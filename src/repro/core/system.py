@@ -345,8 +345,8 @@ def run_policy(
 
     The trace replays at its recorded arrival times; raise offered load
     by generating the workload at a higher session rate (DESIGN.md §6a,
-    item 9).  Arrivals are pulled through the simulator's bounded
-    lookahead window, so when ``workload.trace`` is a
+    item 9).  The simulator's arrival pump pulls the trace a chunk at a
+    time, so when ``workload.trace`` is a
     :class:`~repro.logs.replay.SidecarRequestSource` (from
     ``load_workload(..., stream=True)``) the whole replay streams and
     the trace is never materialized; the resulting

@@ -51,9 +51,6 @@ class BundleTable:
     def is_embedded_object(self, path: str) -> bool:
         return path in self._owner
 
-    def pages(self) -> list[str]:
-        return list(self._bundles)
-
     def as_dict(self) -> dict[str, tuple[str, ...]]:
         return dict(self._bundles)
 

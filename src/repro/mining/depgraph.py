@@ -138,10 +138,6 @@ class DependencyGraph:
     def trained_sequences(self) -> int:
         return self._trained_sequences
 
-    def links_from(self, page: str) -> frozenset[str]:
-        """Pages observed to directly follow ``page`` in the logs."""
-        return frozenset(self._links.get(page, ()))
-
     def candidates(
         self, context: Sequence[str]
     ) -> tuple[dict[str, float], int]:

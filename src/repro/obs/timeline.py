@@ -206,6 +206,9 @@ class TimelineRecorder:
         self._windows: list[TimelineWindow] = []
         self._cursor: _Cursor | None = None
         self._window_start = 0.0
+        #: ``_window_start + window_s``, cached: the per-event hook
+        #: compares against it instead of re-adding the two
+        self._window_end = window_s
         self._finalized = False
 
     # -- wiring ------------------------------------------------------------
@@ -220,7 +223,7 @@ class TimelineRecorder:
     # -- observation -------------------------------------------------------
 
     def _on_event(self, time: float) -> None:
-        while time >= self._window_start + self.window_s:
+        while time >= self._window_end:
             self._close_window()
 
     # -- sampling ----------------------------------------------------------
@@ -285,6 +288,7 @@ class TimelineRecorder:
         ))
         self._cursor = now
         self._window_start += self.window_s
+        self._window_end = self._window_start + self.window_s
         if len(self._windows) >= self.max_windows:
             self._coalesce()
 
@@ -297,6 +301,7 @@ class TimelineRecorder:
         # Re-anchor the open window on the new grid.
         self._window_start = (self._windows[-1].end if self._windows
                               else 0.0)
+        self._window_end = self._window_start + self.window_s
 
     # -- finish ------------------------------------------------------------
 

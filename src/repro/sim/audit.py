@@ -130,6 +130,8 @@ class SimulationAuditor:
         self._dynamic_injected = 0
         #: conn_id -> latest arrival time seen (per-conn ordering check)
         self._conn_last_arrival: dict[int, float] = {}
+        #: the attached cluster's trace start (see :meth:`attach`)
+        self._t0 = 0.0
 
     # -- wiring ------------------------------------------------------------
 
@@ -144,6 +146,9 @@ class SimulationAuditor:
             raise RuntimeError("the cluster already has an auditor")
         self.cluster = cluster
         cluster.auditor = self
+        # Routed trace requests keep their trace arrival; the order
+        # check compares the simulated times they arrived at.
+        self._t0 = cluster._t0
         cluster.sim.observe(self._on_event)
 
     # -- observation hooks (called by the cluster) -------------------------
@@ -152,16 +157,17 @@ class SimulationAuditor:
         self._injected += 1
         if req.dynamic:
             self._dynamic_injected += 1
+        arrival = req.arrival - self._t0
         last = self._conn_last_arrival.get(req.conn_id)
-        if last is not None and req.arrival < last - _TOLERANCE:
+        if last is not None and arrival < last - _TOLERANCE:
             self._violate("connections",
                           "per-connection arrivals out of order", {
                               "conn_id": req.conn_id,
-                              "arrival": req.arrival,
+                              "arrival": arrival,
                               "previous_arrival": last,
                           })
         self._conn_last_arrival[req.conn_id] = max(
-            last if last is not None else req.arrival, req.arrival)
+            last if last is not None else arrival, arrival)
 
     def note_completion(self, req, server_id: int, hit: bool) -> None:
         self._completed += 1

@@ -17,15 +17,15 @@ simulator is trace-driven).  Offered load is raised by generating the
 workload at a higher session rate, never by compressing timestamps
 (DESIGN.md §6a, item 9).
 
-Arrivals stream into the calendar through a bounded lookahead window
-(:class:`_ArrivalPump`) rather than being materialised up front, so the
-calendar's footprint is O(window + in-flight), not O(trace).  The pump
-pushes each arrival with a sequence number pre-reserved from the block
-an eager scheduler would have used, which makes the event order — and
-therefore every result — bit-identical to eager scheduling; the
-property tests replay random traces under both modes to prove it.
-Requests are pulled in chunks so their size-derived service times are
-computed as a batch (:func:`repro.sim.soa.service_time_arrays`).
+Arrivals stream into the calendar one at a time (:class:`_ArrivalPump`)
+rather than being materialised up front: the calendar holds the next
+arrival due plus in-flight work, never the trace.  The pump pushes each
+arrival with a sequence number pre-reserved from the block an eager
+scheduler would have used, which makes the event order — and therefore
+every result — bit-identical to eager scheduling; the property tests
+replay random traces under both modes to prove it.  Requests are pulled
+in chunks so their size-derived service times are computed as a batch
+(:func:`repro.sim.soa.service_time_arrays`).
 
 Per-request state lives in a struct-of-arrays
 :class:`~repro.sim.soa.FlowTable` shared with the backends: the
@@ -37,8 +37,8 @@ The trace is a :class:`~repro.logs.records.RequestSource` and the pump
 pulls from its iterator, so the in-memory
 :class:`~repro.logs.records.Trace` and the lazy
 :class:`~repro.logs.replay.SidecarRequestSource` replay alike; with the
-lazy source a full replay holds O(window) requests instead of the whole
-trace, and the results are bit-identical (the streamed-replay
+lazy source a full replay holds one chunk of requests instead of the
+whole trace, and the results are bit-identical (the streamed-replay
 differential check and ``tests/test_streamed_replay.py`` prove it).
 A pass that yields more or fewer requests than the source's summary
 counted (a sidecar rewritten after it was loaded) raises ``ValueError``.
@@ -72,16 +72,9 @@ __all__ = [
     "Replicator",
     "SimulationResult",
     "ClusterSimulator",
-    "DEFAULT_ARRIVAL_WINDOW",
 ]
 
-#: Default lookahead window of the streaming arrival pump: how many
-#: trace arrivals are kept in the event calendar at once.  Large enough
-#: that pump bookkeeping is noise, small enough that calendar memory no
-#: longer scales with trace length.
-DEFAULT_ARRIVAL_WINDOW = 4096
-
-#: How many requests the pump pulls (and batch-prices) per refill.
+#: How many requests the pump pulls (and batch-prices) at a time.
 ARRIVAL_REFILL_CHUNK = 256
 
 #: Signature of a per-request completion callback:
@@ -90,115 +83,111 @@ CompletionCallback = Callable[[int, bool], None]
 
 
 class _ArrivalPump:
-    """Streams trace arrivals into the calendar, a chunk at a time.
+    """Feeds trace arrivals into the calendar, one pending at a time.
 
-    Eager scheduling pushed all N arrivals (plus N closures) before the
-    first event fired.  The pump keeps at most ``window`` arrivals in
-    the calendar, refilling ``chunk`` at a time as arrivals fire.  Two
-    invariants make this bit-identical to eager mode:
+    Eager scheduling pushed all N arrivals before the first event fired,
+    so every heap operation paid log(N).  The pump keeps exactly one
+    arrival in the calendar, the next one due, and pushes its successor
+    when it fires.  Two invariants make this bit-identical to eager mode:
 
-    * every arrival carries the sequence number it would have received
-      from an eager up-front schedule (a block reserved via
+    * arrival *k* carries the sequence number ``base_seq + k`` that an
+      eager schedule would have given it (a block reserved via
       :meth:`Simulator.reserve_sequences`), so ``(time, seq)`` keys —
       and hence fire order — are unchanged;
-    * a refill happens during an arrival's fire event, and traces are
-      time-sorted, so every pushed arrival is at/after the current
-      clock, at least one future arrival is always scheduled while any
-      remain, and the calendar cannot drain early.
+    * traces are time-sorted and those numbers rise with *k*, so the
+      earliest unfired arrival holds the smallest arrival key: the
+      calendar's minimum is what it would be with every arrival present,
+      and the calendar cannot drain while arrivals remain.
 
-    Pulling in chunks is what lets the size-derived service times
-    (transmit, disk read) be priced as one batched call
-    (:func:`repro.sim.soa.service_time_arrays`) instead of two
-    scalar method calls per request; the per-element results are
-    bit-identical to the scalar path.
+    Arrival *k* fires at ``trace[k].arrival - t0`` (``t0`` the trace
+    start), the float a rebased copy of the request used to carry.  The
+    pump routes the trace's own :class:`Request`; whoever reads a routed
+    request's arrival subtracts ``t0`` the same way.
+
+    Requests are pulled ``ARRIVAL_REFILL_CHUNK`` at a time so their
+    size-derived service times (transmit, disk read) are priced as one
+    batched call (:func:`repro.sim.soa.service_time_arrays`); the
+    per-element results are bit-identical to the scalar path.
     """
 
-    __slots__ = ("cluster", "_it", "total", "base_seq", "next_index",
-                 "pending", "pending_tx", "pending_disk", "window",
-                 "chunk", "in_calendar", "_fire_cb", "_tx_us", "_disk_ms",
-                 "_disk_us")
+    __slots__ = ("cluster", "_it", "total", "pulled", "next_seq",
+                 "pending", "_t0", "_schedule", "_fire_cb", "_tx_us",
+                 "_disk_ms", "_disk_us")
 
     def __init__(
         self,
         cluster: "ClusterSimulator",
         trace: RequestSource,
         base_seq: int,
-        window: int,
+        eager: bool,
     ) -> None:
         self.cluster = cluster
         self._it = iter(trace)
         self.total = len(trace)
-        self.base_seq = base_seq
-        self.next_index = 0
-        self.pending: deque[Request] = deque()
-        self.pending_tx: deque[float] = deque()
-        self.pending_disk: deque[float] = deque()
-        self.window = window = min(window, self.total)
-        self.chunk = max(1, min(ARRIVAL_REFILL_CHUNK, window))
-        self.in_calendar = 0
-        self._fire_cb = self._fire
+        self.pulled = 0
+        #: pulled, unfired arrivals: ``(time, request, tx_s, disk_s)``
+        self.pending: deque[tuple[float, Request, float, float]] = deque()
+        self._t0 = cluster._t0
+        self._schedule = schedule = cluster.sim.schedule_at_reserved
         params = cluster.params
         self._tx_us = params.transmit_us_per_kb
         self._disk_ms = params.disk_latency_fixed_ms
         self._disk_us = params.disk_us_per_kb
-        self._refill(window)
-
-    def _refill(self, n: int) -> None:
-        cluster = self.cluster
-        i = self.next_index
-        n = min(n, self.total - i)
-        if n <= 0:
-            return
-        self.next_index = i + n
-        t0 = cluster._t0
-        if t0 != 0.0:
-            # Rebase to trace start.  Direct construction, not
-            # dataclasses.replace(): same values, none of the
-            # field-introspection overhead.
-            batch = [
-                Request(req.arrival - t0, req.conn_id, req.path,
-                        req.size, req.is_embedded, req.parent,
-                        req.client, req.dynamic)
-                for req in islice(self._it, n)
-            ]
+        if eager:
+            # The reference mode: every arrival enters the calendar now.
+            self._pull(self.total)
+            fire = self._fire_cb = self._route_next
+            for seq, (time, _, _, _) in enumerate(self.pending, base_seq):
+                schedule(time, seq, fire)
         else:
-            batch = list(islice(self._it, n))
+            self._pull(ARRIVAL_REFILL_CHUNK)
+            self._fire_cb = self._fire
+            schedule(self.pending[0][0], base_seq, self._fire_cb)
+            self.next_seq = base_seq + 1
+
+    def _pull(self, n: int) -> None:
+        """Pull and price the next ``n`` requests (fewer at the end)."""
+        i = self.pulled
+        n = min(n, self.total - i)
+        self.pulled = i + n
+        batch = list(islice(self._it, n))
         # The summary's count sized the sequence block and the
         # connection close bookkeeping; a pass that disagrees with it
         # (a sidecar rewritten since it was loaded) cannot replay.
         if len(batch) < n:
             raise ValueError(
-                f"trace {cluster.trace.name!r} ended after "
+                f"trace {self.cluster.trace.name!r} ended after "
                 f"{i + len(batch)} of its {self.total} requests"
             )
-        if self.next_index == self.total and next(self._it, None) is not None:
+        if self.pulled == self.total and next(self._it, None) is not None:
             raise ValueError(
-                f"trace {cluster.trace.name!r} yielded more than its "
+                f"trace {self.cluster.trace.name!r} yielded more than its "
                 f"{self.total} requests"
             )
         tx, disk = service_time_arrays(
             [r.size for r in batch], self._tx_us, self._disk_ms,
             self._disk_us,
         )
-        self.pending.extend(batch)
-        self.pending_tx.extend(tx)
-        self.pending_disk.extend(disk)
-        schedule = cluster.sim.schedule_at_reserved
-        fire = self._fire_cb
-        base = self.base_seq
-        for k, req in enumerate(batch, i):
-            schedule(req.arrival, base + k, fire)
-        self.in_calendar += n
+        t0 = self._t0
+        self.pending.extend(zip([r.arrival - t0 for r in batch], batch,
+                                tx, disk))
 
     def _fire(self) -> None:
-        left = self.in_calendar - 1
-        self.in_calendar = left
-        if left <= self.window - self.chunk and self.next_index < self.total:
-            self._refill(self.chunk)
-        self.cluster._route_request(
-            self.pending.popleft(), None,
-            self.pending_tx.popleft(), self.pending_disk.popleft(),
-        )
+        """Arrival *k* is due: push arrival *k+1*, then route *k*."""
+        pending = self.pending
+        _, req, tx_s, disk_s = pending.popleft()
+        if not pending and self.pulled < self.total:
+            self._pull(ARRIVAL_REFILL_CHUNK)
+        if pending:
+            seq = self.next_seq
+            self.next_seq = seq + 1
+            self._schedule(pending[0][0], seq, self._fire_cb)
+        self.cluster._route_request(req, None, tx_s, disk_s)
+
+    def _route_next(self) -> None:
+        """Eager mode: the arrival due is already the queue's head."""
+        _, req, tx_s, disk_s = self.pending.popleft()
+        self.cluster._route_request(req, None, tx_s, disk_s)
 
 
 @runtime_checkable
@@ -273,12 +262,12 @@ class ClusterSimulator:
         Leading fraction of the trace excluded from the report's
         response/throughput/hit statistics (cold-cache compulsory misses
         are not what the paper's steady-state figures show).
-    arrival_window:
-        Lookahead window of the streaming arrival pump — how many trace
-        arrivals sit in the event calendar at once.  ``None`` uses
-        :data:`DEFAULT_ARRIVAL_WINDOW`; ``0`` schedules the whole trace
-        eagerly (the legacy mode, kept for the differential property
-        tests).  Results are bit-identical across all values.
+    eager_arrivals:
+        Schedule every trace arrival before the first event instead of
+        streaming them in one at a time.  Eager scheduling is the
+        reference the arrival pump's equivalence tests and the core
+        benchmark compare against; results are bit-identical either
+        way.
     """
 
     def __init__(
@@ -295,17 +284,13 @@ class ClusterSimulator:
         failures: "FailureSchedule | None" = None,
         auditor: "SimulationAuditor | None" = None,
         telemetry: "Telemetry | None" = None,
-        arrival_window: int | None = None,
+        eager_arrivals: bool = False,
     ) -> None:
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if window_s is not None and window_s <= 0:
             raise ValueError("window_s must be positive")
-        if arrival_window is None:
-            arrival_window = DEFAULT_ARRIVAL_WINDOW
-        elif arrival_window < 0:
-            raise ValueError("arrival_window must be >= 0")
-        self.arrival_window = arrival_window
+        self._eager_arrivals = eager_arrivals
         if trace is not None and len(trace) == 0:
             raise ValueError("trace is empty")
         if trace is None:
@@ -326,8 +311,11 @@ class ClusterSimulator:
         #: does not count toward throughput.
         self.window_s = (window_s if window_s is not None
                          else trace.duration)
+        #: Trace time of simulated time zero: a trace request arriving at
+        #: ``req.arrival`` reaches the front end at ``req.arrival - t0``.
+        self._t0 = trace.start if trace is not None else 0.0
         self.dispatcher = Dispatcher()
-        self.metrics = MetricsCollector(self.params.n_backends)
+        self.metrics = MetricsCollector(self.params.n_backends, t0=self._t0)
         self._catalog: Mapping[str, int] = (
             trace.catalog if trace is not None else dict(catalog)
         )
@@ -375,9 +363,6 @@ class ClusterSimulator:
             # learn in time.  Every source supplies the counts from its
             # summary, not a second request pass.
             self._remaining_per_conn.update(trace.connection_counts())
-            self._t0 = trace.start
-        else:
-            self._t0 = 0.0
         self._ran = False
         self.tracer = tracer
         #: set by :meth:`SimulationAuditor.attach`
@@ -432,11 +417,11 @@ class ClusterSimulator:
         self._ran = True
         trace = self.trace
         # Reserve the sequence block an eager schedule would have used,
-        # then stream arrivals through the bounded lookahead window
-        # (window 0 = eager: the pump simply preloads the whole trace).
+        # then stream the arrivals in one at a time (or, eagerly, all
+        # at once).
         base_seq = self.sim.reserve_sequences(len(trace))
-        window = self.arrival_window or len(trace)
-        self._arrival_pump = _ArrivalPump(self, trace, base_seq, window)
+        self._arrival_pump = _ArrivalPump(self, trace, base_seq,
+                                          self._eager_arrivals)
         if self.replicator is not None:
             self.replicator.start()
         self.sim.run()
@@ -603,7 +588,7 @@ class ClusterSimulator:
         if self.tracer is not None:
             self.tracer.emit(now, "complete", req.conn_id, req.path,
                              server=server_id, hit=hit,
-                             response_s=now - req.arrival)
+                             response_s=now - (req.arrival - self._t0))
         self.metrics.record_completion(req, now, server_id, hit)
         if self.auditor is not None:
             self.auditor.note_completion(req, server_id, hit)

@@ -195,12 +195,18 @@ class MetricsCollector:
     ints: a CLF size may exceed any fixed-width integer.  Every value
     reads back exactly as recorded (flags as ``0``/``1``), so the
     report is unchanged.
+
+    ``t0`` is the trace time of simulated time zero: a completion's
+    arrival is recorded as ``request.arrival - t0``, the simulated time
+    the request reached the front end.  The cluster passes its trace's
+    start, since it routes the trace's own requests unrebased.
     """
 
-    def __init__(self, n_servers: int) -> None:
+    def __init__(self, n_servers: int, *, t0: float = 0.0) -> None:
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
         self.n_servers = n_servers
+        self._t0 = t0
         self._arrival = array("d")
         self._completion = array("d")
         self._server = array("i")
@@ -233,7 +239,7 @@ class MetricsCollector:
     ) -> None:
         if not 0 <= server_id < self.n_servers:
             raise ValueError(f"server_id {server_id} out of range")
-        arrival = request.arrival
+        arrival = request.arrival - self._t0
         if completion < arrival:
             raise ValueError("completion precedes arrival")
         first = self.first_arrival

@@ -42,20 +42,20 @@ def report_fields(result):
     return dataclasses.asdict(result.report)
 
 
-def small_trace(n=40):
+def small_trace(n=40, start=0.0):
     return Trace([
-        Request(arrival=i * 0.01, conn_id=i % 5,
+        Request(arrival=start + i * 0.01, conn_id=i % 5,
                 path=f"/f{i % 4}.html", size=2048)
         for i in range(n)
     ], name="small")
 
 
 def audited_cluster(policy=None, *, strict=True, interval=1,
-                    tracer=None):
+                    tracer=None, start=0.0):
     auditor = SimulationAuditor(check_interval=interval, strict=strict)
     params = SimulationParams(n_backends=2, cache_bytes=1 << 20)
     cluster = ClusterSimulator(
-        small_trace(), policy or LARDPolicy(), params,
+        small_trace(start=start), policy or LARDPolicy(), params,
         warmup_fraction=0.0, auditor=auditor, tracer=tracer,
     )
     return cluster, auditor
@@ -231,10 +231,14 @@ class TestViolationDetection:
             auditor._on_event(-1.0)
 
     def test_out_of_order_conn_arrival(self):
-        cluster, auditor = self._ran()
-        with pytest.raises(AuditError, match="out of order"):
-            auditor.note_arrival(Request(arrival=-5.0, conn_id=0,
+        cluster, auditor = self._ran(start=1e9)
+        with pytest.raises(AuditError, match="out of order") as exc:
+            auditor.note_arrival(Request(arrival=1e9 - 5.0, conn_id=0,
                                          path="/late.html", size=10))
+        # Routed requests keep their trace arrival; the check compares
+        # simulated times, the trace arrival less the trace start.
+        assert exc.value.snapshot["arrival"] == -5.0
+        assert 0.0 <= exc.value.snapshot["previous_arrival"] <= cluster.sim.now
 
     def test_error_carries_snapshot(self):
         cluster, auditor = self._ran()

@@ -30,7 +30,7 @@ class TestBundleTable:
         assert not t.is_embedded_object("/a.html")
         assert "/a.html" in t
         assert len(t) == 2
-        assert set(t.pages()) == {"/a.html", "/b.html"}
+        assert set(t.as_dict()) == {"/a.html", "/b.html"}
 
     def test_as_dict_copy(self):
         t = BundleTable({"/a.html": ("/x.gif",)})
@@ -121,8 +121,8 @@ class TestBundleMining:
         truth = w.site.bundles()
         checked = 0
         wrong = 0
-        for page in table.pages():
-            for obj in table.objects_of(page):
+        for page, objects in table.as_dict().items():
+            for obj in objects:
                 checked += 1
                 if obj not in truth.get(page, ()):
                     wrong += 1

@@ -31,13 +31,16 @@ class TestTraining:
 
     def test_links_recorded(self):
         g = DependencyGraph().train([["a", "b", "c"]])
-        assert g.links_from("a") == {"b"}
-        assert g.links_from("b") == {"c"}
-        assert g.links_from("c") == frozenset()
+        # One hop of Algorithm 1 follows exactly the direct links.
+        assert g.candidate_paths("a", order=1) == [("a",), ("a", "b")]
+        assert g.candidate_paths("b", order=1) == [("b",), ("b", "c")]
+        assert g.candidate_paths("c", order=1) == [("c",)]
 
     def test_self_loop_not_linked(self):
-        g = DependencyGraph().train([["a", "a", "b"]])
-        assert "a" not in g.links_from("a")
+        g = DependencyGraph().train([["a", "a"]])
+        # The repeat still counts as a transition, but links no page.
+        assert g.candidates(["a"]) == ({"a": 1.0}, 1)
+        assert g.num_pages == 0
 
     def test_counts_pages_and_contexts(self):
         g = DependencyGraph(order=2).train([["a", "b", "c"]])
@@ -49,7 +52,7 @@ class TestTraining:
     def test_record_transition_online(self):
         g = DependencyGraph()
         g.record_transition("a", "b")
-        assert g.links_from("a") == {"b"}
+        assert g.candidate_paths("a", order=1) == [("a",), ("a", "b")]
         assert g.predict(["a"]).page == "b"
 
 
@@ -115,7 +118,8 @@ class TestPrediction:
             pred = g.predict(seq[:1])
             if pred is not None and pred.context_length == 1:
                 last = seq[0]
-                assert pred.page in g.links_from(last) or pred.page == last
+                assert ((last, pred.page) in g.candidate_paths(last, order=1)
+                        or pred.page == last)
 
 
 class TestCandidatePaths:

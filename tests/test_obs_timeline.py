@@ -130,6 +130,25 @@ class TestRecorder:
         coarse, _, _ = run_recorded(0.002, max_windows=8)
         assert fine.totals() == coarse.totals()
 
+    def test_coalesced_windows_match_a_direct_recording(self):
+        # After each coalescing the open window closes on the doubled
+        # grid, so every window holds what a recording made at the final
+        # width from the start holds (power-of-two widths keep both
+        # grids exact).
+        coarse, _, _ = run_recorded(2.0 ** -9)
+        assert coarse.coalesce_rounds >= 2
+        direct, _, _ = run_recorded(coarse.window_s)
+        assert direct.coalesce_rounds == 0
+
+        def counts(timeline):
+            return [(w.start, w.width, w.events, w.completions,
+                     w.dispatches, w.handoffs, w.connections,
+                     [(s.cache_hits, s.cache_misses, s.completions,
+                       s.queue_depth, s.active) for s in w.servers])
+                    for w in timeline.windows]
+
+        assert counts(coarse) == counts(direct)
+
     def test_attach_twice_rejected(self):
         timeline, _, cluster = run_recorded(0.05)
         recorder = TimelineRecorder(0.05)

@@ -3,9 +3,9 @@
 The evaluation side's counterpart of one-pass mining: a workload whose
 trace is a
 lazy :class:`SidecarRequestSource` must replay — through every policy,
-every arrival window, sampled or not — into a result field-for-field
-identical to the materialized :class:`Trace`, while the simulator never
-holds more than the lookahead window of requests.
+streamed or eagerly scheduled, sampled or not — into a result
+field-for-field identical to the materialized :class:`Trace`, while the
+event calendar never holds more than one trace arrival.
 """
 
 import dataclasses
@@ -23,14 +23,16 @@ from hypothesis import given, settings
 
 import repro
 from repro.core.system import run_policy
-from repro.logs import Request, Trace
+from repro.logs import Trace
 from repro.logs.replay import SidecarRequestSource, _decode_row, write_sidecar
 from repro.logs.store import load_workload, save_workload
 from repro.logs.workloads import synthetic_workload
 from repro.sim import ClusterSimulator
 from repro.sim.differential import DEFAULT_POLICIES, report_fields
 from tests.test_arrival_pump import (
+    _assert_one_pending_arrival,
     _build_trace,
+    _long_trace,
     _observable,
     _params,
     _run,
@@ -56,19 +58,19 @@ class TestStreamedEqualsMaterialized:
         self, policy_name, spec
     ):
         trace = _build_trace(spec)
-        materialized = _observable(*_run(trace, policy_name, None))
+        materialized = _observable(*_run(trace, policy_name))
         assert materialized["events"], "trace produced no events"
         with tempfile.TemporaryDirectory() as tmp:
             source = _sidecar_source(trace, Path(tmp))
-            # Default window (streamed) and the pathological window=1.
-            for window in (None, 1):
-                streamed = _observable(*_run(source, policy_name, window))
+            # The default streamed pump, and eager scheduling.
+            for eager in (False, True):
+                streamed = _observable(*_run(source, policy_name, eager))
                 differing = [
                     k for k in materialized
                     if materialized[k] != streamed[k]
                 ]
                 assert not differing, (
-                    f"streamed window={window} diverges from "
+                    f"streamed eager={eager} diverges from "
                     f"materialized on {differing}"
                 )
 
@@ -256,23 +258,14 @@ class TestSidecarRowDecoder:
 
 
 class TestStreamedFootprint:
-    def test_calendar_high_water_bounded_by_window(self, tmp_path):
-        # The whole point: with a lazy source and a bounded window, the
-        # calendar (and the pump) hold O(window), not O(trace).
-        n, window = 3000, 64
-        trace = Trace(
-            [Request(arrival=i * 0.002, conn_id=i % 8,
-                     path=f"/p{i % 16}", size=1024)
-             for i in range(n)],
-            name="long",
-        )
-        source = _sidecar_source(trace, tmp_path)
-        cluster = ClusterSimulator(
-            source, build_policy("lard")[0], _params(),
-            arrival_window=window,
-        )
-        cluster.run()
-        assert cluster.sim.calendar_high_water <= window + 64
+    def test_calendar_holds_at_most_one_arrival(self, tmp_path):
+        # The whole point: with a lazy source the calendar holds one
+        # trace arrival and the pump one chunk of requests, not the
+        # trace.
+        n = 3000
+        source = _sidecar_source(_long_trace(n), tmp_path)
+        cluster = ClusterSimulator(source, build_policy("lard")[0], _params())
+        _assert_one_pending_arrival(cluster, source)
         assert cluster.sim.calendar_high_water < n // 10
 
 
